@@ -4,8 +4,11 @@ use gals_common::{DomainId, Femtos, Hertz, SplitMix64};
 
 use crate::pll::Pll;
 
-/// Maximum supported jitter fraction. Bounded so that consecutive edges can
-/// never reorder (|jitter| < period/2 on both sides of an ideal edge).
+/// Maximum supported jitter fraction. With the jitter amplitude at most
+/// `0.4·period`, consecutive edges are at least `0.2·period` apart (and
+/// `0.6·period` apart across a grid re-base), so edges never reorder, and
+/// `2·amp < period` pins the last edge before any horizon to one of two
+/// grid indices, which is what makes [`DomainClock::fast_forward_to`] O(1).
 const MAX_JITTER_FRAC: f64 = 0.4;
 
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +47,9 @@ pub struct DomainClock {
     freq: Hertz,
     period: Femtos,
     jitter_frac: f64,
+    /// Jitter half-amplitude in fs for the current period (0 = no draws).
+    amp: u64,
+    /// Jitter stream, positioned just after the draw for `next_edge`.
     rng: SplitMix64,
     pll: Pll,
     /// Time of the ideal grid origin (edge index 0; not itself an edge).
@@ -80,6 +86,7 @@ impl DomainClock {
             freq,
             period: freq.period(),
             jitter_frac,
+            amp: 0,
             rng,
             pll,
             grid_base: Femtos::ZERO,
@@ -89,6 +96,7 @@ impl DomainClock {
             next_edge: Femtos::ZERO,
             pending: None,
         };
+        clk.set_period(freq);
         clk.next_edge = clk.jittered(clk.ideal(1));
         clk
     }
@@ -114,21 +122,45 @@ impl DomainClock {
         self.grid_base + self.period * index
     }
 
+    fn set_period(&mut self, freq: Hertz) {
+        self.freq = freq;
+        self.period = freq.period();
+        self.amp = (self.period.as_fs() as f64 * self.jitter_frac) as u64;
+    }
+
+    /// Perturbs an ideal edge by one jitter draw from `rng` (no draw when
+    /// `amp == 0`).
     #[inline]
-    fn jittered(&mut self, ideal: Femtos) -> Femtos {
-        if self.jitter_frac == 0.0 {
-            return ideal;
-        }
-        let amp = (self.period.as_fs() as f64 * self.jitter_frac) as u64;
+    fn jitter(ideal: Femtos, amp: u64, rng: &mut SplitMix64) -> Femtos {
         if amp == 0 {
             return ideal;
         }
-        let j = self.rng.next_below(2 * amp + 1) as i64 - amp as i64;
+        let j = rng.next_below(2 * amp + 1) as i64 - amp as i64;
         if j >= 0 {
             ideal + Femtos::new(j as u64)
         } else {
             ideal.saturating_sub(Femtos::new((-j) as u64))
         }
+    }
+
+    #[inline]
+    fn jittered(&mut self, ideal: Femtos) -> Femtos {
+        Self::jitter(ideal, self.amp, &mut self.rng)
+    }
+
+    /// Time of the edge at grid index `index >= grid_index` on the current
+    /// grid, without consuming anything. Edge `grid_index` is `next_edge`;
+    /// each later edge takes the next draw of the stream in index order.
+    fn edge_at(&self, index: u64) -> Femtos {
+        debug_assert!(index >= self.grid_index);
+        if index == self.grid_index {
+            return self.next_edge;
+        }
+        let mut rng = self.rng.clone();
+        if self.amp != 0 {
+            rng.skip(index - self.grid_index - 1);
+        }
+        Self::jitter(self.ideal(index), self.amp, &mut rng)
     }
 
     /// Domain this clock drives.
@@ -186,22 +218,18 @@ impl DomainClock {
 
         if let Some(p) = self.pending {
             if p.complete_at <= edge {
-                self.freq = p.target;
-                self.period = p.target.period();
+                self.set_period(p.target);
                 self.grid_base = edge;
                 self.grid_index = 1;
                 self.pending = None;
             }
         }
 
-        let ideal = self.ideal(self.grid_index);
-        let mut next = self.jittered(ideal);
-        if next <= edge {
-            // Extreme jitter draw on a rebased grid; clamp forward to
-            // preserve strict monotonicity.
-            next = edge + Femtos::new(1);
-        }
-        self.next_edge = next;
+        // No clamp needed: consecutive edges on one grid are at least
+        // `period - 2·amp >= 0.2·period` apart, and the first edge after a
+        // re-base at least `period - amp >= 0.6·period` past it.
+        self.next_edge = self.jittered(self.ideal(self.grid_index));
+        debug_assert!(self.next_edge > edge);
         edge
     }
 
@@ -209,44 +237,61 @@ impl DomainClock {
     /// [`DomainClock::tick`] had been called once per such edge, and
     /// returns how many edges were consumed.
     ///
-    /// When the edge sequence over the span is arithmetically determined
-    /// — zero effective jitter and no relock pending — the jump is O(1):
-    /// edges lie exactly on the ideal grid, so the index arithmetic
-    /// replaces the per-edge loop. This is what makes idle-skipping
-    /// cheap for synchronous machines, whose bulk-skip spans cover
-    /// hundreds of edges per memory stall. Otherwise each edge is
-    /// generated individually, because a jittered edge consumes one RNG
-    /// draw (and a relock re-bases the grid mid-span), and producing
-    /// them one by one is the only way to keep the RNG stream — and
-    /// therefore every downstream result — bit-identical.
+    /// The jump is O(1) for every clock, jittered or not and with or
+    /// without a relock pending, and leaves the RNG stream — and therefore
+    /// every later edge — bit-identical to ticking. Edge `k` of a grid
+    /// sits at `grid_base + k·period + j_k` with `|j_k| <= amp`, and the
+    /// `j_k` are consecutive draws of a Weyl-counter stream, so any edge
+    /// can be computed directly and the stream skipped past a whole span.
+    /// A pending relock splits the span at its completion time: the edge
+    /// that re-bases the grid is ticked, and the rest of the span is
+    /// jumped on the new grid.
     pub fn fast_forward_to(&mut self, horizon: Femtos) -> u64 {
-        if self.next_edge >= horizon {
-            return 0;
-        }
-        let amp = (self.period.as_fs() as f64 * self.jitter_frac) as u64;
-        if amp != 0 || self.pending.is_some() {
-            // `jittered` draws RNG exactly when amp != 0, so this
-            // condition mirrors the per-edge stream consumption.
-            let mut n = 0;
-            while self.next_edge < horizon {
-                self.tick();
-                n += 1;
+        let start = self.cycle;
+        if let Some(p) = self.pending {
+            self.jump_on_grid(horizon.min(p.complete_at));
+            if self.next_edge >= horizon {
+                return self.cycle - start;
             }
-            return n;
+            // Every edge before `complete_at` is consumed, so this one
+            // re-bases the grid.
+            self.tick();
         }
-        // Jitter-free, relock-free: `next_edge == ideal(grid_index)` and
-        // every future edge sits at `grid_base + period·i`.
-        debug_assert_eq!(self.next_edge, self.ideal(self.grid_index));
-        let p = self.period.as_fs();
-        // Last grid index whose edge time is strictly before `horizon`.
-        let last_i = (horizon.as_fs() - 1 - self.grid_base.as_fs()) / p;
-        debug_assert!(last_i >= self.grid_index);
-        let n = last_i - self.grid_index + 1;
-        self.cycle += n;
-        self.grid_index += n;
-        self.last_edge = self.ideal(self.grid_index - 1);
-        self.next_edge = self.ideal(self.grid_index);
-        n
+        self.jump_on_grid(horizon);
+        self.cycle - start
+    }
+
+    /// Consumes every edge before `horizon` on the current grid. The
+    /// caller guarantees no relock completes within the span.
+    fn jump_on_grid(&mut self, horizon: Femtos) {
+        if self.next_edge >= horizon {
+            return;
+        }
+        // `m` is the last grid index whose earliest possible edge,
+        // `ideal(m) - amp`, is before `horizon`: no later edge can be.
+        // Edge `m - 1` is at most `ideal(m) - period + amp`, which is
+        // before `horizon` because `2·amp < period`. So the last edge
+        // before `horizon` is `m` or `m - 1`. `m >= grid_index` because
+        // `next_edge` itself is before `horizon`.
+        let reach = horizon.as_fs().saturating_add(self.amp) - 1;
+        let m = (reach - self.grid_base.as_fs()) / self.period.as_fs();
+        debug_assert!(m >= self.grid_index);
+        let at_m = self.edge_at(m);
+        let last = if at_m < horizon {
+            self.last_edge = at_m;
+            self.next_edge = self.edge_at(m + 1);
+            m
+        } else {
+            self.last_edge = self.edge_at(m - 1);
+            self.next_edge = at_m;
+            m - 1
+        };
+        let consumed = last + 1 - self.grid_index;
+        if self.amp != 0 {
+            self.rng.skip(consumed);
+        }
+        self.cycle += consumed;
+        self.grid_index = last + 1;
     }
 
     /// Begins a frequency change to `target`, sampling a PLL lock time.
@@ -280,17 +325,14 @@ impl DomainClock {
     /// baseline machines and in tests; run-time adaptation must use
     /// [`DomainClock::begin_frequency_change`].
     pub fn set_frequency_immediate(&mut self, target: Hertz) {
-        self.freq = target;
-        self.period = target.period();
+        self.set_period(target);
         self.grid_base = self.last_edge;
         self.grid_index = 1;
         self.pending = None;
-        let ideal = self.ideal(1);
-        let mut next = self.jittered(ideal);
-        if next <= self.last_edge {
-            next = self.last_edge + Femtos::new(1);
-        }
-        self.next_edge = next;
+        // A re-based first edge is at least `period - amp >= 0.6·period`
+        // past `last_edge`, so no clamp is needed (see `tick`).
+        self.next_edge = self.jittered(self.ideal(1));
+        debug_assert!(self.next_edge > self.last_edge);
     }
 }
 
@@ -307,6 +349,17 @@ mod tests {
         )
     }
 
+    /// Ticks one edge at a time until the next edge is at or past
+    /// `horizon`; returns the number of edges consumed.
+    fn tick_to(c: &mut DomainClock, horizon: Femtos) -> u64 {
+        let mut n = 0;
+        while c.peek_next_edge() < horizon {
+            c.tick();
+            n += 1;
+        }
+        n
+    }
+
     #[test]
     fn jitter_free_edges_on_grid() {
         let mut c = clk(1.0, 0.0, 1);
@@ -317,12 +370,10 @@ mod tests {
     }
 
     /// `fast_forward_to` must leave the clock in exactly the state that
-    /// the equivalent number of `tick` calls would — the O(1) arithmetic
-    /// jump for jitter-free clocks and the per-edge loop for jittered
-    /// ones must both be indistinguishable from ticking.
+    /// the equivalent number of `tick` calls would, jittered or not.
     #[test]
     fn fast_forward_is_equivalent_to_ticking() {
-        for (jitter, seed) in [(0.0, 1u64), (0.0, 9), (0.01, 1), (0.05, 7)] {
+        for (jitter, seed) in [(0.0, 1u64), (0.0, 9), (0.01, 1), (0.05, 7), (0.4, 11)] {
             let mut ff = clk(1.6, jitter, seed);
             let mut tk = clk(1.6, jitter, seed);
             // Interleave jumps of assorted spans with normal ticks.
@@ -330,11 +381,7 @@ mod tests {
                 // Choose a horizon a fractional period past the span.
                 let horizon =
                     tk.peek_next_edge() + tk.period() * *span_edges + Femtos::new(137 * i as u64);
-                let mut n_tk = 0;
-                while tk.peek_next_edge() < horizon {
-                    tk.tick();
-                    n_tk += 1;
-                }
+                let n_tk = tick_to(&mut tk, horizon);
                 let n_ff = ff.fast_forward_to(horizon);
                 assert_eq!(n_ff, n_tk, "jitter {jitter}: edge counts diverged");
                 assert_eq!(ff.cycle(), tk.cycle());
@@ -357,28 +404,84 @@ mod tests {
         assert_eq!(c.cycle(), 0);
     }
 
+    /// One jittered jump across ~10^12 edges: a per-edge loop would never
+    /// finish. Edges stay within `amp < period/2` of the ideal grid, so a
+    /// horizon half a period past ideal edge `n` consumes exactly `n`.
     #[test]
-    fn fast_forward_falls_back_during_relock() {
-        let mut c = clk(1.0, 0.0, 3);
+    fn fast_forward_is_constant_time() {
+        let n = 1_000_000_000_000u64;
+        let mut whole = clk(1.0, 0.4, 12);
+        let horizon = Femtos::new(n * 1_000_000 + 500_000);
+        assert_eq!(whole.fast_forward_to(horizon), n);
+        assert_eq!(whole.cycle(), n);
+        let off = whole.last_edge().as_fs() as i64 - (n * 1_000_000) as i64;
+        assert!(off.abs() <= 400_000, "last edge {off} fs off the grid");
+        // Splitting the span anywhere leaves the identical state.
+        for split in [1u64, 999_999, 12_345_678_901, n * 1_000_000 - 1] {
+            let mut parts = clk(1.0, 0.4, 12);
+            let first = parts.fast_forward_to(Femtos::new(split));
+            assert_eq!(first + parts.fast_forward_to(horizon), n);
+            assert_eq!(parts.cycle(), whole.cycle());
+            assert_eq!(parts.last_edge(), whole.last_edge());
+            assert_eq!(parts.peek_next_edge(), whole.peek_next_edge());
+            let mut ahead = whole.clone();
+            for _ in 0..100 {
+                assert_eq!(parts.tick(), ahead.tick());
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_across_relock_matches_ticking() {
+        let mut c = clk(1.0, 0.1, 3);
         c.tick();
         let done = c.begin_frequency_change(Hertz::from_ghz(2.0));
-        let mut tk = clk(1.0, 0.0, 3);
+        let mut tk = clk(1.0, 0.1, 3);
         tk.tick();
         let done_tk = tk.begin_frequency_change(Hertz::from_ghz(2.0));
         assert_eq!(done, done_tk);
         // Jump across the relock boundary: the grid re-bases mid-span,
-        // so the fallback loop must be taken and match plain ticking.
+        // and the jitter amplitude changes with the period.
         let horizon = done + Femtos::from_ns(10);
-        let n = c.fast_forward_to(horizon);
-        let mut m = 0;
-        while tk.peek_next_edge() < horizon {
-            tk.tick();
-            m += 1;
-        }
-        assert_eq!(n, m);
+        assert_eq!(c.fast_forward_to(horizon), tick_to(&mut tk, horizon));
+        assert!(!c.is_locking());
+        assert_eq!(c.last_edge(), tk.last_edge());
         assert_eq!(c.peek_next_edge(), tk.peek_next_edge());
         assert_eq!(c.frequency(), tk.frequency());
         assert_eq!(c.cycle(), tk.cycle());
+        for _ in 0..100 {
+            assert_eq!(c.tick(), tk.tick());
+        }
+    }
+
+    /// An edge landing exactly on the lock completion re-bases the grid,
+    /// as in `tick` (`complete_at <= edge`), whether the jump stops just
+    /// before that edge or runs past it.
+    #[test]
+    fn fast_forward_rebases_on_edge_at_lock_completion() {
+        let lock = Femtos::from_ns(10);
+        for split in [Femtos::from_ns(11), Femtos::new(11_000_001)] {
+            let mut c = clk(1.0, 0.0, 4);
+            c.set_pll(Pll::with_parameters(
+                lock,
+                Femtos::ZERO,
+                lock,
+                lock,
+                SplitMix64::new(0),
+            ));
+            c.tick();
+            let done = c.begin_frequency_change(Hertz::from_ghz(2.0));
+            assert_eq!(done, Femtos::from_ns(11), "edge 11 completes the lock");
+            let mut tk = c.clone();
+            for horizon in [split, Femtos::from_ns(14)] {
+                assert_eq!(c.fast_forward_to(horizon), tick_to(&mut tk, horizon));
+                assert_eq!(c.is_locking(), tk.is_locking());
+                assert_eq!(c.last_edge(), tk.last_edge());
+                assert_eq!(c.peek_next_edge(), tk.peek_next_edge());
+            }
+            assert_eq!(c.frequency(), Hertz::from_ghz(2.0));
+            assert_eq!(c.last_edge(), Femtos::new(13_500_000));
+        }
     }
 
     #[test]

@@ -4,18 +4,38 @@ use gals_clock::{DomainClock, SyncModel};
 use gals_common::{DomainId, Femtos, Hertz, SplitMix64};
 use proptest::prelude::*;
 
+/// Ticks `c` one edge at a time until its next edge is at or past
+/// `horizon`, returning the number of edges consumed.
+fn tick_to(c: &mut DomainClock, horizon: Femtos) -> u64 {
+    let mut n = 0;
+    while c.peek_next_edge() < horizon {
+        c.tick();
+        n += 1;
+    }
+    n
+}
+
+fn assert_same_state(jumped: &DomainClock, ticked: &DomainClock) {
+    assert_eq!(jumped.cycle(), ticked.cycle());
+    assert_eq!(jumped.last_edge(), ticked.last_edge());
+    assert_eq!(jumped.peek_next_edge(), ticked.peek_next_edge());
+    assert_eq!(jumped.frequency(), ticked.frequency());
+    assert_eq!(jumped.is_locking(), ticked.is_locking());
+}
+
 proptest! {
-    /// Edges are strictly monotone for any frequency/jitter/seed combo.
+    /// Edges are strictly monotone for any frequency/jitter/seed combo,
+    /// up to and including the maximum jitter fraction 0.4.
     #[test]
     fn edges_strictly_monotone(
         mhz in 80u64..2000,
-        jitter in 0.0f64..0.35,
+        jitter_ppm in 0u64..400_001,
         seed in any::<u64>(),
     ) {
         let mut c = DomainClock::new(
             DomainId::FrontEnd,
             Hertz::from_mhz(mhz),
-            jitter,
+            jitter_ppm as f64 / 1e6,
             SplitMix64::new(seed),
         );
         let mut prev = Femtos::ZERO;
@@ -98,6 +118,75 @@ proptest! {
             }
             c.tick();
             prop_assert_eq!(c.frequency(), Hertz::from_mhz(to_mhz));
+        }
+    }
+
+    /// `fast_forward_to` leaves a clock in exactly the state that ticking
+    /// one edge at a time would, for any frequency, phase, seed and
+    /// jitter in the whole allowed range `[0, 0.4]`, with jumps of every
+    /// length interleaved with plain ticks, relocks begun and completed
+    /// mid-span, and immediate frequency changes.
+    #[test]
+    fn fast_forward_matches_ticking(
+        mhz in 100u64..2000,
+        jitter_ppm in 0u64..400_001,
+        phase_fs in any::<u64>(),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..5, any::<u64>()), 4..12),
+    ) {
+        let jitter = jitter_ppm as f64 / 1e6;
+        let mut jumped = DomainClock::with_phase(
+            DomainId::FloatingPoint,
+            Hertz::from_mhz(mhz),
+            jitter,
+            Femtos::new(phase_fs),
+            SplitMix64::new(seed),
+        );
+        let mut ticked = jumped.clone();
+        for (kind, x) in ops {
+            let from = ticked.peek_next_edge();
+            let period = ticked.period();
+            match kind {
+                // A short jump: up to 64 periods, often mid-period.
+                0 => {
+                    let horizon = from + Femtos::new(x % (period.as_fs() * 64));
+                    prop_assert_eq!(jumped.fast_forward_to(horizon), tick_to(&mut ticked, horizon));
+                }
+                // A long jump of up to 25 µs, long enough to cross a
+                // 10-20 µs relock.
+                1 => {
+                    let horizon = from + Femtos::new(x % Femtos::from_us(25).as_fs());
+                    prop_assert_eq!(jumped.fast_forward_to(horizon), tick_to(&mut ticked, horizon));
+                }
+                2 => {
+                    for _ in 0..=x % 8 {
+                        prop_assert_eq!(jumped.tick(), ticked.tick());
+                    }
+                }
+                // Begin a relock, then jump to within a few periods of
+                // its completion, on either side of it.
+                3 => {
+                    let target = Hertz::from_mhz(100 + x % 1900);
+                    let done = jumped.begin_frequency_change(target);
+                    prop_assert_eq!(ticked.begin_frequency_change(target), done);
+                    let near = Femtos::new((x >> 32) % (period.as_fs() * 8));
+                    let horizon = if x & (1 << 31) == 0 {
+                        done.saturating_sub(near).max(from)
+                    } else {
+                        done + near
+                    };
+                    prop_assert_eq!(jumped.fast_forward_to(horizon), tick_to(&mut ticked, horizon));
+                }
+                _ => {
+                    let target = Hertz::from_mhz(100 + x % 1900);
+                    jumped.set_frequency_immediate(target);
+                    ticked.set_frequency_immediate(target);
+                }
+            }
+            assert_same_state(&jumped, &ticked);
+        }
+        for _ in 0..16 {
+            prop_assert_eq!(jumped.tick(), ticked.tick());
         }
     }
 }

@@ -9,6 +9,9 @@
 
 use std::fmt;
 
+/// The Weyl increment SplitMix64 adds to its state once per draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A deterministic 64-bit PRNG (SplitMix64).
 ///
 /// Not cryptographically secure; statistically solid for simulation use and
@@ -48,11 +51,21 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances the stream past `n` draws in O(1), exactly as if
+    /// [`SplitMix64::next_u64`] had been called `n` times and the values
+    /// discarded. The state is a Weyl counter that gains a fixed
+    /// increment per draw and the output mix never feeds back into it,
+    /// so the jump is one wrapping multiply-add.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform value in `[0, bound)`.
@@ -226,6 +239,32 @@ mod tests {
         let mut b = parent.fork(1);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
+    }
+
+    #[test]
+    fn skip_matches_discarded_draws() {
+        for n in [0u64, 1, 2, 1000] {
+            let mut drawn = SplitMix64::new(0x5EED);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = SplitMix64::new(0x5EED);
+            skipped.skip(n);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn skips_compose_additively_with_wraparound() {
+        for (a, b) in [(3u64, 4u64), (1000, 0), (u64::MAX, 5), (1 << 63, 1 << 63)] {
+            let mut split = SplitMix64::new(77);
+            split.skip(a);
+            split.skip(b);
+            let mut whole = SplitMix64::new(77);
+            whole.skip(a.wrapping_add(b));
+            assert!(split == whole, "skip({a}) + skip({b})");
+            assert_eq!(split.next_u64(), whole.next_u64());
+        }
     }
 
     #[test]

@@ -44,10 +44,11 @@
 //!   before that bound tick the clock (consuming the identical
 //!   jitter-RNG sequence) but skip the handler, and when *every* domain
 //!   is idle the run loop fast-forwards all four clocks to the earliest
-//!   bound in one batch. Store-to-load forwarding consults an
-//!   [`FxHashMap`]-indexed map from 8-byte line to an intrusive chain of
-//!   in-flight stores (no per-line allocation, no SipHash), and LSQ
-//!   commit-time removal is O(1) head popping.
+//!   bound, each in one O(1) jump that leaves the jitter RNG exactly
+//!   where ticking would ([`DomainClock::fast_forward_to`]). Store-to-load
+//!   forwarding consults an [`FxHashMap`]-indexed map from 8-byte line to
+//!   an intrusive chain of in-flight stores (no per-line allocation, no
+//!   SipHash), and LSQ commit-time removal is O(1) head popping.
 //! * The **straightforward reference path**
 //!   ([`Simulator::use_reference_loop`]): every edge of every domain
 //!   runs its full handler, forwarding reverse-scans the LSQ, and every
@@ -1943,11 +1944,12 @@ impl Simulator {
     /// Bulk idle-edge skip (fast path): any edge strictly before every
     /// domain's next-work bound provably runs a no-op handler, so
     /// fast-forward all four clocks to the earliest bound at once. Each
-    /// skipped edge still ticks its clock (consuming the identical
-    /// jitter/relock RNG sequence), which is what keeps results
-    /// bit-identical to the reference loop. The deadlock span caps the
-    /// jump so a buggy bound still trips the detector. Returns true when
-    /// the edge at `t` was skipped over.
+    /// clock's jump is O(1) and leaves it exactly as ticking every
+    /// skipped edge would (same jitter-RNG position, same relock
+    /// re-base), which is what keeps results bit-identical to the
+    /// reference loop. The deadlock span caps the jump so a buggy bound
+    /// still trips the detector. Returns true when the edge at `t` was
+    /// skipped over.
     #[inline]
     fn try_fast_forward(&mut self, t: Femtos) -> bool {
         let horizon = (self.last_progress_time + Self::DEADLOCK_SPAN)
@@ -1956,9 +1958,6 @@ impl Simulator {
             return false;
         }
         for clock in &mut self.clocks {
-            // O(1) for jitter-free clocks (the synchronous machines),
-            // edge-by-edge otherwise to consume the identical
-            // jitter-RNG sequence.
             clock.fast_forward_to(horizon);
         }
         true

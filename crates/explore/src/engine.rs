@@ -970,6 +970,16 @@ impl SweepEngine {
             if i >= members.len() {
                 i = 0;
             }
+            // A member of a higher class than the round-robin pick (a
+            // high-priority job backfilled into a low-priority cohort)
+            // takes every turn until it finishes, so joining a cohort
+            // never queues it behind lower-priority members.
+            let top = (0..members.len())
+                .max_by_key(|&k| members[k].job.priority)
+                .expect("non-empty cohort");
+            if members[top].job.priority > members[i].job.priority {
+                i = top;
+            }
             let m = &mut members[i];
             let next_end = m.chunk_end.saturating_add(chunk);
             // Interval memoization: if another member (any cohort, any
