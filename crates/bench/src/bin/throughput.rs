@@ -2,10 +2,11 @@
 //! three machine styles and sweep configurations/sec for the synchronous
 //! design-space sweep, for both the event-driven fast loop and the
 //! straightforward reference loop, plus the sweep-wide trace-sharing
-//! speedup (pooled traces vs per-job stream regeneration), the batched
-//! lockstep-cohort speedup with cross-cohort interval memoization (every
-//! configuration measured at two windows — the convergence-study shape —
-//! vs solo one-job-at-a-time runs of the identical jobs), and the
+//! speedup (pooled traces vs per-job stream regeneration), the
+//! window-sharing speedup (every configuration measured at two windows —
+//! the convergence-study shape — through the default engine, which runs
+//! each configuration once for both, vs an engine with sharing and the
+//! interval memo off running the identical jobs one by one), and the
 //! cache-model residency (bytes the packed lazy tag arrays actually
 //! allocate after a real run vs the old eager per-geometry layout), and
 //! emits the numbers as JSON.
@@ -37,11 +38,9 @@
 //!
 //! Knobs: `GALS_BENCH_SIM_WINDOW` (default 60,000 instructions per
 //! simulator measurement), `GALS_BENCH_SWEEP_WINDOW` (default 4,000
-//! instructions per sweep run), plus the engine's `GALS_MCD_COHORT_WIDTH`
-//! / `GALS_MCD_INTERVAL_MEMO_SNAPS` for the batched section (the batched
-//! section pins its cohort chunk to the half window so half-window jobs
-//! pause exactly where the full-window jobs probe — the condition for
-//! memoized snapshots to splice).
+//! instructions per sweep run), plus the engine's
+//! `GALS_MCD_INTERVAL_MEMO_SNAPS` (`0` turns window sharing off on the
+//! default side of the batched section too).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -154,11 +153,11 @@ fn trace_sweep_work() -> Vec<MeasureItem> {
 }
 
 /// One timed trace-shared (or per-job-stream) sweep over a fresh
-/// in-memory cache; returns (runs, seconds, pool hits). Cohorts are
-/// pinned off so this section keeps measuring trace sharing alone.
+/// in-memory cache; returns (runs, seconds, pool hits). Every job has
+/// one window, so nothing is shared between runs but the recordings.
 fn time_trace_sweep(window: u64, pooled: bool) -> (usize, f64, u64) {
     let work = trace_sweep_work();
-    let mut engine = SweepEngine::new(ResultCache::in_memory()).with_cohort_width(0);
+    let mut engine = SweepEngine::new(ResultCache::in_memory());
     if !pooled {
         engine = engine.without_trace_pool();
     }
@@ -172,11 +171,10 @@ fn time_trace_sweep(window: u64, pooled: bool) -> (usize, f64, u64) {
     (out.len(), dt, engine.trace_pool_hits())
 }
 
-/// The memoization shape for the batched section: every trace-sweep
+/// The window-sharing shape for the batched section: every trace-sweep
 /// configuration measured at two windows (W/2 and W) — the convergence
-/// study every real sweep campaign runs — interleaved so one
-/// configuration's two jobs land in the same cohort and share their
-/// whole simulation prefix.
+/// study every real sweep campaign runs — so one run of each
+/// configuration can answer both.
 fn batched_sweep_jobs(window: u64) -> Vec<Job> {
     let mut jobs = Vec::new();
     for item in trace_sweep_work() {
@@ -190,20 +188,16 @@ struct BatchedSweep {
     runs: usize,
     solo_s: f64,
     batched_s: f64,
-    cohort_width: usize,
-    chunk: u64,
     memo_hits: u64,
     memo_stores: u64,
 }
 
-/// Times the mixed-window job list through the batched lockstep-cohort
-/// engine (chunk pinned to the half window, so a half-window job's one
-/// pause lands exactly where a full-window job can splice its whole
-/// shared prefix from the interval memo in a single snapshot) against a
-/// cohort-free solo engine over the identical jobs — and asserts the
-/// outcomes are bit-identical.
+/// Times the mixed-window job list through the default engine (window
+/// sharing: one run per configuration answers both windows) against an
+/// engine with sharing and the interval memo off
+/// (`with_interval_memo_snaps(0)`) over the identical jobs — and asserts
+/// the outcomes are bit-identical.
 fn time_batched_sweep(window: u64) -> BatchedSweep {
-    let chunk = (window / 2).max(64);
     let run = |engine: &SweepEngine| -> (Vec<Option<f64>>, f64) {
         let jobs = batched_sweep_jobs(window);
         let t0 = Instant::now();
@@ -211,8 +205,8 @@ fn time_batched_sweep(window: u64) -> BatchedSweep {
         let dt = t0.elapsed().as_secs_f64();
         (out.into_iter().map(|o| o.runtime_ns()).collect(), dt)
     };
-    let solo = SweepEngine::new(ResultCache::in_memory()).with_cohort_width(0);
-    let batched = SweepEngine::new(ResultCache::in_memory()).with_cohort_chunk(chunk);
+    let solo = SweepEngine::new(ResultCache::in_memory()).with_interval_memo_snaps(0);
+    let batched = SweepEngine::new(ResultCache::in_memory());
     let (solo_out, solo_s) = run(&solo);
     let (batched_out, batched_s) = run(&batched);
     assert!(
@@ -221,14 +215,12 @@ fn time_batched_sweep(window: u64) -> BatchedSweep {
     );
     assert_eq!(
         solo_out, batched_out,
-        "batched cohort outcomes diverged from solo outcomes"
+        "window-shared outcomes diverged from solo outcomes"
     );
     BatchedSweep {
         runs: solo_out.len(),
         solo_s,
         batched_s,
-        cohort_width: batched.cohort_width(),
-        chunk,
         memo_hits: batched.interval_memo_hits(),
         memo_stores: batched.interval_memo_stores(),
     }
@@ -431,10 +423,9 @@ fn main() {
          \"speedup_vs_v1_sweep\": {vs_v1:.3}}},"
     );
 
-    // Batched lockstep cohorts + interval memoization: every sweep
-    // configuration at two windows (W/2 and W), driven K at a time over
-    // one shared prepared trace with paused-snapshot splicing, versus a
-    // cohort-free solo engine resolving the identical job list.
+    // Window sharing: every sweep configuration at two windows (W/2 and
+    // W), one run per configuration answering both, versus an engine
+    // with sharing off resolving the identical job list one by one.
     eprintln!(
         "sweep_batched ({} + {sweep_window} instructions per configuration):",
         sweep_window / 2
@@ -444,22 +435,19 @@ fn main() {
     let solo_cps = b.runs as f64 / b.solo_s;
     let batched_speedup = b.solo_s / b.batched_s;
     eprintln!(
-        "  {} runs: batched {batched_cps:.1} configs/s (K={}, chunk {}, {} memo hits / {} \
-         stores)   vs solo {solo_cps:.1} configs/s   speedup {batched_speedup:.2}x \
-         ({threads} threads)",
-        b.runs, b.cohort_width, b.chunk, b.memo_hits, b.memo_stores
+        "  {} runs: batched {batched_cps:.1} configs/s ({} memo hits / {} stores)   \
+         vs solo {solo_cps:.1} configs/s   speedup {batched_speedup:.2}x ({threads} threads)",
+        b.runs, b.memo_hits, b.memo_stores
     );
     let _ = writeln!(
         json,
         "  \"sweep_batched\": {{\"runs\": {}, \"window_full\": {sweep_window}, \
-         \"window_half\": {}, \"threads\": {threads}, \"cohort_width\": {}, \
-         \"chunk_insts\": {}, \"memo_hits\": {}, \"memo_stores\": {}, \
+         \"window_half\": {}, \"threads\": {threads}, \
+         \"memo_hits\": {}, \"memo_stores\": {}, \
          \"batched_configs_per_sec\": {batched_cps:.3}, \
          \"solo_configs_per_sec\": {solo_cps:.3}, \"speedup\": {batched_speedup:.3}}}",
         b.runs,
         sweep_window / 2,
-        b.cohort_width,
-        b.chunk,
         b.memo_hits,
         b.memo_stores
     );

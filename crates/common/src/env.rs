@@ -1,9 +1,9 @@
 //! Environment-variable tuning knobs with loud failure reporting.
 //!
 //! The sweep engine reads a handful of `GALS_MCD_*` variables at
-//! construction. Historically a malformed value (`GALS_MCD_COHORT_WIDTH=eight`)
-//! was silently swallowed by `.ok().and_then(|v| v.parse().ok())` and the
-//! default used — the worst failure mode for a tuning knob, because the
+//! construction. Historically a malformed value
+//! (`GALS_MCD_INTERVAL_MEMO_SNAPS=eight`) was silently swallowed by
+//! `.ok().and_then(|v| v.parse().ok())` and the default used — the worst failure mode for a tuning knob, because the
 //! operator believes the override took effect. [`parse_env_or`] keeps the
 //! fall-back-to-default behavior but prints one warning to stderr naming
 //! the variable, the rejected value, and the default actually used.

@@ -91,8 +91,9 @@ pub trait DomainController: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Clones the controller behind the trait object. Simulator snapshots
-    /// (cohort interval memoization) clone whole machines, so every policy
-    /// must be deep-copyable mid-run with its streaks/integrators intact.
+    /// (the sweep engine's interval memo) clone whole machines, so every
+    /// policy must be deep-copyable mid-run with its streaks/integrators
+    /// intact.
     fn box_clone(&self) -> Box<dyn DomainController>;
 
     /// End-of-interval decision.

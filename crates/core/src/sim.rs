@@ -55,6 +55,14 @@
 //!   entry is polled — the naive implementation the determinism
 //!   regression tests compare against, and the baseline the criterion
 //!   benches measure speedups from.
+//!
+//! Both loops are one stepping loop over one fetch. Fetch reads a small
+//! private instruction source: a live [`InstructionStream`]
+//! ([`Simulator::run`]) or a [`PreparedTrace`] indexed by the count of
+//! instructions pulled so far ([`Simulator::run_chunk`]). The loop's
+//! only pause is a commit count, and pausing mutates nothing, so a run
+//! paused and resumed under any schedule ends bit-identical to one
+//! continuous run.
 
 use std::collections::VecDeque;
 
@@ -205,14 +213,47 @@ impl FuPool {
     }
 }
 
+/// Where fetch reads the committed path from. The simulator counts the
+/// instructions it has pulled, so a prepared trace is indexed by that
+/// count while a live stream just yields its next instruction.
+trait Source {
+    /// Instruction `pos` of the path and its I-cache line index under
+    /// `line_bytes`-byte lines.
+    fn pull(&mut self, pos: u64, line_bytes: u64) -> (DynInst, u64);
+}
+
+/// A live [`InstructionStream`] as a [`Source`].
+struct Live<'a, S>(&'a mut S);
+
+impl<S: InstructionStream> Source for Live<'_, S> {
+    #[inline]
+    fn pull(&mut self, _pos: u64, line_bytes: u64) -> (DynInst, u64) {
+        let inst = self.0.next_inst();
+        (inst, inst.pc / line_bytes)
+    }
+}
+
+impl Source for &PreparedTrace {
+    #[inline]
+    fn pull(&mut self, pos: u64, _line_bytes: u64) -> (DynInst, u64) {
+        let i = pos as usize;
+        assert!(
+            i < self.len(),
+            "prepared trace underrun: position {i} of {}",
+            self.len()
+        );
+        (self.inst(i), self.fetch_line(i))
+    }
+}
+
 /// The simulator: construct with a [`MachineConfig`], run one stream.
 ///
 /// See the [crate docs](crate) for an example.
 ///
 /// `Clone` deep-copies the whole machine mid-run — every queue, clock,
-/// cache, predictor, and controller. The sweep engine's interval
-/// memoization uses this to snapshot a paused simulator at a chunk
-/// boundary and splice it into a later job over the same prefix.
+/// cache, predictor, and controller. The sweep engine's interval memo
+/// uses this to snapshot a simulator paused at a commit count and
+/// splice it into a later, longer job of the same configuration.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: MachineConfig,
@@ -266,12 +307,14 @@ pub struct Simulator {
     fetch_stalled_until: Femtos,
     fetch_blocked_on: Option<u32>,
     cur_fetch_line: u64,
-    pending_inst: Option<DynInst>,
+    /// An instruction pulled from the source but not yet fetched (held
+    /// across an I-cache stall), with its fetch line.
+    pending_inst: Option<(DynInst, u64)>,
 
-    // Chunked-stepping state (persists across `run_chunk` calls; also
-    // used by `run` so both loops share the deadlock detector).
-    /// Next unconsumed index into the prepared trace.
-    trace_pos: u64,
+    // Stepping state that persists across pauses.
+    /// Instructions pulled from the source so far: the next index into
+    /// a prepared trace.
+    pulled: u64,
     /// Simulated time of the most recent commit-count increase.
     last_progress_time: Femtos,
     /// Commit count at `last_progress_time`.
@@ -483,7 +526,7 @@ impl Simulator {
             fetch_blocked_on: None,
             cur_fetch_line: u64::MAX,
             pending_inst: None,
-            trace_pos: 0,
+            pulled: 0,
             last_progress_time: Femtos::ZERO,
             last_progress_count: 0,
             fu_int: [
@@ -773,23 +816,11 @@ impl Simulator {
     // Front-end edge
     // ------------------------------------------------------------------
 
-    fn fe_edge<S: InstructionStream>(&mut self, e: Femtos, stream: &mut S, window: u64) {
+    fn fe_edge<S: Source>(&mut self, e: Femtos, src: &mut S, window: u64) {
         self.apply_pending_fe(e);
         self.commit(e, window);
         self.rename_dispatch(e);
-        self.fetch(e, stream);
-        if self.event_driven {
-            self.recompute_fe_wake(e);
-        }
-    }
-
-    /// [`Simulator::fe_edge`] with fetch fed from a [`PreparedTrace`]
-    /// (the chunked-stepping path).
-    fn fe_edge_prepared(&mut self, e: Femtos, prep: &PreparedTrace, window: u64) {
-        self.apply_pending_fe(e);
-        self.commit(e, window);
-        self.rename_dispatch(e);
-        self.fetch_prepared(e, prep);
+        self.fetch(e, src);
         if self.event_driven {
             self.recompute_fe_wake(e);
         }
@@ -1290,7 +1321,12 @@ impl Simulator {
         }
     }
 
-    fn fetch<S: InstructionStream>(&mut self, e: Femtos, stream: &mut S) {
+    /// Fetches up to a decode group from `src`. An instruction pulled
+    /// before an I-cache stall is held in `pending_inst`; the retry finds
+    /// `line == cur_fetch_line` (set before the stall return) and skips
+    /// the already-performed access, so every model structure sees each
+    /// access once whatever the source.
+    fn fetch<S: Source>(&mut self, e: Femtos, src: &mut S) {
         if self.fetch_blocked_on.is_some() || e < self.fetch_stalled_until {
             return;
         }
@@ -1299,13 +1335,16 @@ impl Simulator {
             if self.fetch_q.len() >= self.cfg.params.fetch_queue {
                 break;
             }
-            let inst = match self.pending_inst.take() {
-                Some(i) => i,
-                None => stream.next_inst(),
+            let (inst, line) = match self.pending_inst.take() {
+                Some(held) => held,
+                None => {
+                    let pulled = src.pull(self.pulled, self.cfg.params.line_bytes);
+                    self.pulled += 1;
+                    pulled
+                }
             };
 
             // I-cache: access on line crossings.
-            let line = inst.pc / self.cfg.params.line_bytes;
             if line != self.cur_fetch_line {
                 let r = self.icache.access(inst.pc, AccessKind::Read);
                 self.cur_fetch_line = line;
@@ -1314,7 +1353,7 @@ impl Simulator {
                     ServedBy::BPartition => {
                         let extra = self.l1_b_latency(self.ic_idx) - self.cfg.params.l1_a_cycles;
                         self.fetch_stalled_until = e + self.clocks[FE].period() * extra;
-                        self.pending_inst = Some(inst);
+                        self.pending_inst = Some((inst, line));
                         return;
                     }
                     ServedBy::Miss => {
@@ -1327,121 +1366,11 @@ impl Simulator {
                             en.note_l2_service((vis - e).as_ns());
                         }
                         self.fetch_stalled_until = vis;
-                        self.pending_inst = Some(inst);
+                        self.pending_inst = Some((inst, line));
                         return;
                     }
                 }
             }
-
-            // Allocate the window slot in the slab. The capacity bound
-            // guarantees the masked slot is vacant while `seq` is alive.
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            debug_assert!(
-                (self.next_seq - self.head_seq) as usize <= self.slab.len(),
-                "in-flight window exceeded the slab capacity"
-            );
-            let slot = self.slot_of(seq);
-            *self.st_mut(slot) = InstState {
-                inst,
-                seq,
-                srcs: [Src::Free, Src::Free],
-                exec_domain: FE as u8,
-                arrival: e,
-                next_check: Femtos::ZERO,
-                completion: None,
-                issued: false,
-                renamed: false,
-                mispredicted: false,
-                uses_phys: false,
-                waiter_head: NO_LINK,
-                waiter_next: NO_LINK,
-                q_prev: NO_LINK,
-                q_next: NO_LINK,
-                line_next: NO_LINK,
-            };
-            self.fetch_q.push_back(slot);
-
-            // Branch prediction.
-            if inst.op == OpClass::Branch {
-                self.branches += 1;
-                let predicted = self.predictors[self.active_pred].predict(inst.pc).taken;
-                // Train: phase mode keeps all geometries warm.
-                if self.predictors.len() > 1 {
-                    for p in &mut self.predictors {
-                        p.update(inst.pc, inst.taken);
-                    }
-                } else {
-                    self.predictors[0].update(inst.pc, inst.taken);
-                }
-                if predicted != inst.taken {
-                    self.mispredicts += 1;
-                    self.st_mut(slot).mispredicted = true;
-                    self.fetch_blocked_on = Some(slot);
-                    break;
-                } else if inst.taken {
-                    break; // one taken branch per fetch group
-                }
-            } else if inst.op == OpClass::Jump {
-                break; // taken: end of fetch group
-            }
-        }
-    }
-
-    /// [`Simulator::fetch`] reading the shared prepared trace at
-    /// `self.trace_pos` instead of pulling an owned stream.
-    ///
-    /// Bit-identity with the stream path: where `fetch` stashes the
-    /// in-hand instruction in `pending_inst` across an I-cache stall,
-    /// this path simply leaves `trace_pos` unadvanced — the retry reads
-    /// the same index, finds `line == cur_fetch_line` (set before the
-    /// stall return, exactly as in `fetch`), and skips the already-
-    /// performed I-cache access, so the access sequence every model
-    /// structure observes is identical.
-    fn fetch_prepared(&mut self, e: Femtos, prep: &PreparedTrace) {
-        if self.fetch_blocked_on.is_some() || e < self.fetch_stalled_until {
-            return;
-        }
-        let width = self.cfg.params.decode_width;
-        for _ in 0..width {
-            if self.fetch_q.len() >= self.cfg.params.fetch_queue {
-                break;
-            }
-            let i = self.trace_pos as usize;
-            assert!(
-                i < prep.len(),
-                "prepared trace underrun: position {i} of {}",
-                prep.len()
-            );
-
-            // I-cache: access on line crossings (line index precomputed).
-            let line = prep.fetch_line(i);
-            let inst = prep.inst(i);
-            if line != self.cur_fetch_line {
-                let r = self.icache.access(inst.pc, AccessKind::Read);
-                self.cur_fetch_line = line;
-                match r.served {
-                    ServedBy::APartition => {}
-                    ServedBy::BPartition => {
-                        let extra = self.l1_b_latency(self.ic_idx) - self.cfg.params.l1_a_cycles;
-                        self.fetch_stalled_until = e + self.clocks[FE].period() * extra;
-                        return;
-                    }
-                    ServedBy::Miss => {
-                        // Fill from the unified L2 (load/store domain).
-                        let req = self.xfer(e, FE, LS);
-                        let delay = self.l2_access(inst.pc, AccessKind::Read);
-                        let done = req + delay;
-                        let vis = self.xfer(done, LS, FE);
-                        if let Some(en) = self.engine.as_mut() {
-                            en.note_l2_service((vis - e).as_ns());
-                        }
-                        self.fetch_stalled_until = vis;
-                        return;
-                    }
-                }
-            }
-            self.trace_pos += 1;
 
             // Allocate the window slot in the slab. The capacity bound
             // guarantees the masked slot is vacant while `seq` is alive.
@@ -1920,8 +1849,8 @@ impl Simulator {
 
     /// Updates the deadlock detector after an edge at `e`; panics when a
     /// long span of simulated time passes with no commits (a model bug).
-    /// State lives on `self` so detection spans `run_chunk` calls
-    /// exactly as it spans one continuous `run`.
+    /// State lives on `self` so detection spans pauses exactly as it
+    /// spans one continuous run.
     #[inline]
     fn note_progress(&mut self, e: Femtos) {
         if self.committed > self.last_progress_count {
@@ -1963,17 +1892,17 @@ impl Simulator {
         true
     }
 
-    /// Runs the machine until `window` instructions have committed and
-    /// returns the measured result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline deadlocks (a model bug), detected as a long
-    /// span of simulated time with no commits.
-    pub fn run<S: InstructionStream>(mut self, stream: &mut S, window: u64) -> SimResult {
+    /// The stepping loop both run loops share: advances edge by edge
+    /// until `window` instructions have committed (returns `true`) or,
+    /// before that, the commit count has reached `pause_at` (returns
+    /// `false`). The pause is checked between edges and mutates
+    /// nothing, so resuming re-evaluates the identical edge.
+    fn step<S: Source>(&mut self, src: &mut S, window: u64, pause_at: u64) -> bool {
         assert!(window > 0, "window must be positive");
-
         while self.committed < window {
+            if self.committed >= pause_at {
+                return false;
+            }
             let (d, t) = self.earliest_edge();
             if self.event_driven && self.try_fast_forward(t) {
                 continue;
@@ -1981,7 +1910,7 @@ impl Simulator {
             let e = self.clocks[d].tick();
             if !self.event_driven || e >= self.next_work[d] {
                 match d {
-                    0 => self.fe_edge(e, stream, window),
+                    0 => self.fe_edge(e, src, window),
                     1 | 2 => self.exec_edge(d, e),
                     3 => self.ls_edge(e),
                     _ => unreachable!(),
@@ -1989,44 +1918,65 @@ impl Simulator {
             }
             self.note_progress(e);
         }
+        true
+    }
 
+    /// Runs the machine until `window` instructions have committed and
+    /// returns the measured result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or if the pipeline deadlocks (a model
+    /// bug), detected as a long span of simulated time with no commits.
+    pub fn run<S: InstructionStream>(mut self, stream: &mut S, window: u64) -> SimResult {
+        self.step(&mut Live(&mut *stream), window, u64::MAX);
         // lint:allow(hot-path-alloc): one name copy per completed run, after the stepping loop exits
         let name = stream.name().to_string();
         self.finish(&name)
     }
 
-    /// Advances the machine until it either commits its `window`-th
-    /// instruction (returns `true` — harvest with [`Simulator::finish`])
-    /// or reaches the trace pacing bound `upto` (returns `false`), with
-    /// every piece of pipeline state preserved between calls. This is
-    /// the lockstep-cohort primitive: K simulators over one shared
-    /// [`PreparedTrace`] take turns advancing through the same chunk of
-    /// trace positions while that chunk's fact columns are cache-hot.
+    /// Advances the machine over `prep` until either `window`
+    /// instructions have committed (returns `true`; harvest with
+    /// [`Simulator::finish`]) or, before that, the commit count has
+    /// reached `upto` (returns `false`; resume by calling again). Every
+    /// piece of pipeline state is preserved between calls. `upto =
+    /// u64::MAX` never pauses, which makes one call exactly
+    /// [`Simulator::run`] over the same instructions.
     ///
-    /// The pacing bound pauses the machine *before ticking* at a
-    /// front-end edge that is open to fetch at or past trace index
-    /// `upto`. The pause mutates nothing, so resuming with a larger
-    /// `upto` re-evaluates the identical edge and the state evolution is
-    /// bit-identical under every chunking schedule — including the
-    /// degenerate `upto = u64::MAX` single chunk, which is exactly
-    /// [`Simulator::run`] over the same instructions (the determinism
-    /// suite asserts all of this). `window` must be the same value on
-    /// every call.
+    /// The pause is taken right after the edge whose commits reached
+    /// `upto`, and it mutates nothing, so the state evolution is
+    /// bit-identical under every pause schedule. `window` must be the
+    /// same value on every call. Because `window` only clamps commit, a
+    /// machine paused at `upto < window` is also exactly where a run
+    /// with any window above its commit count would be, and
+    /// [`Simulator::runtime_ns`] there is the runtime of a run with
+    /// window `upto` (the determinism suite asserts both).
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero, if the prepared trace was densified
-    /// for a different I-cache line size than this machine's, if the
-    /// trace runs out before the window commits (capture at least
-    /// `window + max_in_flight()` instructions), or on pipeline
-    /// deadlock.
-    /// Instructions committed so far. A memoized snapshot taken at a
-    /// pacing pause is only spliceable into a job whose commit window
-    /// strictly exceeds this count (commit stops exactly at the window,
-    /// so a paused machine with `committed < window` evolved identically
-    /// under every larger window).
+    /// Panics if `window` is zero, if `prep` was prepared for a
+    /// different I-cache line size than this machine's, if the trace
+    /// runs out before the window commits (capture at least `window +
+    /// max_in_flight()` instructions), or on pipeline deadlock.
+    pub fn run_chunk(&mut self, prep: &PreparedTrace, window: u64, upto: u64) -> bool {
+        assert_eq!(
+            prep.line_bytes(),
+            self.cfg.params.line_bytes,
+            "prepared trace line size must match the machine configuration"
+        );
+        self.step(&mut &*prep, window, upto)
+    }
+
+    /// Instructions committed so far.
     pub fn committed(&self) -> u64 {
         self.committed
+    }
+
+    /// Simulated time (ns) of the latest commit: the runtime so far.
+    /// Right after a [`Simulator::run_chunk`] pause at commit count
+    /// `upto`, this is the runtime of a fresh run with window `upto`.
+    pub fn runtime_ns(&self) -> f64 {
+        self.last_commit_at.as_ns()
     }
 
     /// Cache-model bytes actually resident for this machine (the three
@@ -2043,61 +1993,12 @@ impl Simulator {
             + self.l2.eager_layout_bytes()
     }
 
-    /// Advances the machine over `prep` until either `window`
-    /// instructions have committed (returns `true`) or fetch is about
-    /// to consume trace index `upto` (returns `false`; resume by
-    /// calling again with a larger bound). The pause mutates nothing,
-    /// so the paused state is independent of the chunking schedule
-    /// that reached it.
-    pub fn run_chunk(&mut self, prep: &PreparedTrace, window: u64, upto: u64) -> bool {
-        assert!(window > 0, "window must be positive");
-        assert_eq!(
-            prep.line_bytes(),
-            self.cfg.params.line_bytes,
-            "prepared trace line size must match the machine configuration"
-        );
-
-        while self.committed < window {
-            let (d, t) = self.earliest_edge();
-
-            // Pacing gate. Fetch is about to run (and consume trace) iff
-            // this is a handled front-end edge with fetch un-blocked and
-            // un-stalled; `recompute_fe_wake` keeps `next_work[FE]` at
-            // or below `max(fetch_stalled_until, e)` whenever fetch is
-            // open, so an eligible fetch edge can never be fast-
-            // forwarded over and this gate is always reached.
-            if d == FE
-                && self.trace_pos >= upto
-                && self.fetch_blocked_on.is_none()
-                && t >= self.fetch_stalled_until
-                && (!self.event_driven || t >= self.next_work[FE])
-            {
-                return false;
-            }
-
-            if self.event_driven && self.try_fast_forward(t) {
-                continue;
-            }
-            let e = self.clocks[d].tick();
-            if !self.event_driven || e >= self.next_work[d] {
-                match d {
-                    0 => self.fe_edge_prepared(e, prep, window),
-                    1 | 2 => self.exec_edge(d, e),
-                    3 => self.ls_edge(e),
-                    _ => unreachable!(),
-                }
-            }
-            self.note_progress(e);
-        }
-        true
-    }
-
     // lint:endhot — everything below runs once per completed simulation
     // (result harvest), not per instruction or per edge.
 
     /// Folds outstanding statistics and produces the [`SimResult`] for a
-    /// machine whose run has completed (the chunked-stepping harvest;
-    /// [`Simulator::run`] goes through this too).
+    /// machine whose run has completed (the [`Simulator::run_chunk`]
+    /// harvest; [`Simulator::run`] goes through this too).
     pub fn finish(mut self, benchmark: &str) -> SimResult {
         // Fold any un-drained interval statistics into the totals.
         let ic = self.icache.take_stats();

@@ -105,28 +105,39 @@ fn zero_steady_state_heap_allocations_per_instruction() {
         growth,
     );
 
-    // Chunked single-simulator phase: after the lazy cache sets warm up,
-    // steady state must allocate exactly **zero**. One simulator is
-    // stepped over a prepared trace; the measured tail span starts well
-    // past warm-up. adpcm's ~4 KB working set saturates the lazy set
-    // arrays almost immediately (gcc above keeps discovering new L2
-    // sets for hundreds of thousands of instructions, which is why the
+    // Paused-and-resumed phase: after the lazy cache sets warm up,
+    // steady state must allocate exactly **zero**, pauses included. One
+    // simulator is stepped over a prepared trace and paused every 512
+    // commits (the engine pauses a shared run at every shorter window
+    // and snapshot point); the measured tail span starts well past
+    // warm-up. adpcm's ~4 KB working set saturates the lazy set arrays
+    // almost immediately (gcc above keeps discovering new L2 sets for
+    // hundreds of thousands of instructions, which is why the
     // differential phase bounds growth rather than zeroing it), so the
     // tail must not touch the allocator at all.
+    const PAUSE_EVERY: u64 = 512;
     let spec = suite::by_name("adpcm_encode").expect("benchmark in suite");
     let trace = SharedTrace::capture(&mut spec.stream(), LONG + slack);
     let prep = PreparedTrace::new(&trace, machine.params.line_bytes);
     let mut sim = Simulator::new(machine);
-    assert!(sim.run_chunk(&prep, WARM * 2, u64::MAX));
+    assert!(!sim.run_chunk(&prep, LONG, WARM * 2));
+    let mut pauses = 0u64;
     let b0 = alloc_calls();
-    assert!(sim.run_chunk(&prep, LONG, u64::MAX));
+    while !sim.run_chunk(&prep, LONG, sim.committed() + PAUSE_EVERY) {
+        pauses += 1;
+    }
     let b1 = alloc_calls();
+    assert!(
+        pauses >= (LONG - WARM * 2) / PAUSE_EVERY / 2,
+        "{pauses} pauses"
+    );
     assert_eq!(
         b1 - b0,
         0,
-        "the {} instructions after lazy-set warmup performed {} heap \
-         allocations (steady state must allocate nothing)",
+        "the {} instructions after lazy-set warmup, paused {} times, \
+         performed {} heap allocations (steady state must allocate nothing)",
         LONG - WARM * 2,
+        pauses,
         b1 - b0,
     );
     assert_eq!(sim.finish("adpcm_encode").committed, LONG);

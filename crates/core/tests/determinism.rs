@@ -7,6 +7,7 @@
 
 use gals_core::{ControlPolicy, MachineConfig, McdConfig, SimResult, Simulator, SyncConfig};
 use gals_workloads::{suite, PreparedTrace, SharedTrace};
+use proptest::prelude::*;
 
 /// Runs one spec/config pair through both loops and asserts full
 /// `SimResult` equality (committed counts, runtime, per-domain cycles,
@@ -234,13 +235,102 @@ fn shared_trace_replay_is_bit_identical_to_live_streams() {
     }
 }
 
-/// Chunked stepping over a [`PreparedTrace`] is the lockstep-cohort
-/// primitive: `run_chunk(prep, window, upto)` pauses the machine at its
-/// trace pacing bound and resumes with all state preserved. The pause
-/// must be architecturally invisible — the final `SimResult` must be
-/// bit-identical to one continuous `run()` over the live stream for
-/// *every* chunking schedule, every machine style, and both run loops,
-/// or cohort composition would leak into sweep results.
+/// A simulator for `machine` on the chosen loop.
+fn simulator(machine: &MachineConfig, reference: bool) -> Simulator {
+    let sim = Simulator::new(machine.clone());
+    if reference {
+        sim.use_reference_loop()
+    } else {
+        sim
+    }
+}
+
+/// A prepared recording of `bench` long enough for a `window` run.
+fn prepared(machine: &MachineConfig, bench: &str, window: u64) -> PreparedTrace {
+    let spec = suite::by_name(bench).expect("benchmark in suite");
+    let need = window + machine.params.max_in_flight() as u64;
+    PreparedTrace::new(
+        &SharedTrace::capture(&mut spec.stream(), need),
+        machine.params.line_bytes,
+    )
+}
+
+/// Every machine style the sweep engine shares windows over: the
+/// synchronous and program-adaptive machines, and the phase-adaptive
+/// machine under every built-in policy.
+fn window_sharing_machines() -> Vec<MachineConfig> {
+    let mut machines = vec![
+        MachineConfig::best_synchronous(),
+        MachineConfig::program_adaptive(McdConfig::smallest()),
+    ];
+    for policy in ControlPolicy::BUILTIN {
+        machines.push(MachineConfig::phase_adaptive(McdConfig::smallest()).with_control(policy));
+    }
+    machines
+}
+
+const PREMISE_BENCHES: [&str; 6] = ["gcc", "art", "apsi", "equake", "gzip", "mcf"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The window only clamps commit, so a run with window `w` is the
+    /// first `w` commits of any longer run of the same machine: the
+    /// `w`-window runtime is bit-equal to the time of the `w`-th commit
+    /// in a longer run paused there. The sweep engine answers every
+    /// window of a configuration from one run on this premise.
+    #[test]
+    fn window_runtime_is_the_commit_time_in_any_longer_run(
+        bench in 0usize..6,
+        short in 500u64..16_000,
+        extra in 1u64..16_000,
+    ) {
+        let bench = PREMISE_BENCHES[bench];
+        let spec = suite::by_name(bench).expect("benchmark in suite");
+        let long = short + extra;
+        for machine in window_sharing_machines() {
+            let prep = prepared(&machine, bench, long);
+            for reference in [false, true] {
+                let alone = simulator(&machine, reference).run(&mut spec.stream(), short);
+                let mut sim = simulator(&machine, reference);
+                sim.run_chunk(&prep, long, short);
+                prop_assert!(sim.committed() >= short);
+                prop_assert_eq!(
+                    alone.runtime_ns().to_bits(),
+                    sim.runtime_ns().to_bits(),
+                    "{} {:?} {:?} reference={}: window {} vs commit {} of {}",
+                    bench, machine.kind, machine.control, reference, short, short, long
+                );
+            }
+        }
+    }
+}
+
+/// Runs `window` commits over `prep`, pausing at every commit count
+/// `schedule` yields, and returns the harvested result.
+fn run_paused(
+    mut sim: Simulator,
+    prep: &PreparedTrace,
+    window: u64,
+    mut schedule: impl FnMut(u64) -> u64,
+) -> SimResult {
+    let mut upto = 0u64;
+    let mut pauses = 0u64;
+    while !sim.run_chunk(prep, window, upto) {
+        assert!(sim.committed() >= upto, "paused below its bound");
+        upto = schedule(upto);
+        pauses += 1;
+        assert!(pauses < 1_000_000, "paused run never finished");
+    }
+    sim.finish(prep.name())
+}
+
+/// `run_chunk(prep, window, upto)` pauses the machine once its commit
+/// count reaches `upto` and resumes with all state preserved. The pause
+/// must be architecturally invisible: the final `SimResult` must be
+/// bit-identical to one continuous `run()` over the live stream under
+/// *every* commit-count pause schedule, every machine style, and both
+/// run loops, or the engine's window sharing would leak into results.
 #[test]
 fn chunked_stepping_is_bit_identical_to_run() {
     let cases: [(MachineConfig, &str, u64); 3] = [
@@ -258,47 +348,29 @@ fn chunked_stepping_is_bit_identical_to_run() {
     ];
     for (machine, bench, window) in cases {
         let spec = suite::by_name(bench).expect("benchmark in suite");
-        let need = window + machine.params.max_in_flight() as u64;
-        let trace = SharedTrace::capture(&mut spec.stream(), need);
-        let prep = PreparedTrace::new(&trace, machine.params.line_bytes);
-
+        let prep = prepared(&machine, bench, window);
         let baseline = Simulator::new(machine.clone()).run(&mut spec.stream(), window);
 
-        // Chunk sizes from pathological (7) through typical (2048) to
-        // the degenerate single chunk (u64::MAX disables the gate).
-        for chunk in [7u64, 256, 2_048, u64::MAX] {
-            let mut sim = Simulator::new(machine.clone());
-            let mut upto = 0u64;
-            let mut turns = 0u64;
-            loop {
-                upto = upto.saturating_add(chunk);
-                if sim.run_chunk(&prep, window, upto) {
-                    break;
-                }
-                turns += 1;
-                assert!(turns < 1_000_000, "{bench}: chunked run never finished");
-            }
-            let chunked = sim.finish(bench);
+        // Steps from a pause after every committing edge (1) through
+        // typical (2048) to the degenerate single call (u64::MAX never
+        // pauses).
+        for step in [1u64, 7, 2_048, u64::MAX] {
+            let got = run_paused(simulator(&machine, false), &prep, window, |u| {
+                u.saturating_add(step)
+            });
+            assert_eq!(baseline, got, "{bench}: step {step} diverged");
+        }
+        // An irregular schedule on each loop: a seeded walk of steps.
+        for reference in [false, true] {
+            let mut rng = gals_common::SplitMix64::new(window);
+            let got = run_paused(simulator(&machine, reference), &prep, window, |u| {
+                u + 1 + rng.next_below(3_000)
+            });
             assert_eq!(
-                baseline, chunked,
-                "{bench}: chunk size {chunk} diverged from continuous run"
+                baseline, got,
+                "{bench}: irregular schedule diverged (reference={reference})"
             );
         }
-
-        // Reference loop through the same chunked schedule.
-        let mut sim = Simulator::new(machine.clone()).use_reference_loop();
-        let mut upto = 0u64;
-        loop {
-            upto = upto.saturating_add(512);
-            if sim.run_chunk(&prep, window, upto) {
-                break;
-            }
-        }
-        let chunked_ref = sim.finish(bench);
-        assert_eq!(
-            baseline, chunked_ref,
-            "{bench}: chunked reference loop diverged"
-        );
     }
 }
 

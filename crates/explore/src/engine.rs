@@ -27,6 +27,30 @@
 //! end-to-end by the determinism/pooling integration tests), and a
 //! replay that would read past its recording panics rather than loop,
 //! so a sizing bug can never silently diverge.
+//!
+//! # Window sharing
+//!
+//! A configuration's window only clamps commit, so the `w`-th commit of
+//! any longer run of the same configuration happens at exactly the
+//! runtime of a `w`-window run (the determinism suite pins this for
+//! every machine style on both loops). [`SweepEngine::run_jobs`]
+//! therefore registers every window of each `benchmark|mode|config_key`
+//! identity in its batch before any worker starts. The first worker to
+//! admit a job of an identity claims its key and reserves every other
+//! registered window's key in the same scheduler step; later jobs of
+//! those keys follow it. That worker runs the configuration once, to
+//! the largest window, and resolves each shorter key as the commit count
+//! crosses it — so a batch simulates each identity once, whatever the
+//! worker count or timing. The batch's registrations are dropped when
+//! it resolves.
+//!
+//! # Interval memo
+//!
+//! Sharing cannot reach across requests: a long-lived `gals-serve` sees
+//! one configuration at one window now and at a longer one later. For
+//! that traffic the engine keeps a small FIFO of paused simulators
+//! ([`IntervalMemo`]); each run probes it once for the farthest usable
+//! snapshot and may leave snapshots at fixed commit-count strides.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,9 +141,9 @@ impl MeasureItem {
         CacheKey::new(self.spec.name(), self.mode, &self.config_key, window)
     }
 
-    /// The window-independent identity the interval memo keys on:
-    /// everything that determines the machine and its input except the
-    /// window (mirrors the [`CacheKey`] component contract).
+    /// The window-independent identity window sharing and the interval
+    /// memo key on: everything that determines the machine and its input
+    /// except the window (mirrors the [`CacheKey`] component contract).
     fn memo_identity(&self) -> String {
         format!("{}|{}|{}", self.spec.name(), self.mode, self.config_key)
     }
@@ -135,30 +159,13 @@ const SAVE_BATCH: usize = 256;
 /// `GALS_MCD_TRACE_POOL_INSTS` (`0` disables pooling entirely).
 const DEFAULT_POOL_INSTS: u64 = 2_000_000;
 
-/// Default lockstep cohort width (simulators advancing over one shared
-/// prepared trace); override with `GALS_MCD_COHORT_WIDTH` (`0` or `1`
-/// selects the legacy one-job-at-a-time path).
-const DEFAULT_COHORT_WIDTH: usize = 8;
-
-/// Default trace-chunk size (instructions) each cohort member advances
-/// per turn — the best-measured balance between keeping a chunk's
-/// prepared-fact columns cache-resident across the cohort's pass and
-/// not thrashing each member's own microarchitectural state on the
-/// turn switches; override with `GALS_MCD_COHORT_CHUNK`.
-const DEFAULT_COHORT_CHUNK: u64 = 4_096;
-
 /// One pooled recording: the spec it was captured from (the identity
 /// key — full structural equality, so distinct specs that happen to
-/// share a name can never alias), the shared instruction storage, and
-/// (once some cohort needed it) the structure-of-arrays densification.
+/// share a name can never alias) and the prepared recording.
 #[derive(Debug)]
 struct PoolEntry {
     spec: BenchmarkSpec,
-    trace: SharedTrace,
-    /// Lazily built by the first cohort run over this recording; the
-    /// LRU instruction bound covers the raw recording only (the
-    /// densification is a constant factor on top).
-    prepared: Option<PreparedTrace>,
+    prepared: PreparedTrace,
 }
 
 /// The LRU-bounded pool of shared benchmark recordings.
@@ -198,145 +205,93 @@ impl TracePool {
     }
 
     /// Returns a recording of at least `need` instructions of `spec`,
-    /// capturing (or extending) it on a miss, or `None` when pooling is
-    /// disabled or the request alone would overflow the pool bound.
-    fn get(&self, spec: &BenchmarkSpec, need: u64) -> Option<SharedTrace> {
+    /// prepared for machines with `line_bytes` I-cache lines, capturing
+    /// (or extending) it on a miss, or `None` when pooling is disabled
+    /// or the request alone would overflow the pool bound.
+    fn get(&self, spec: &BenchmarkSpec, need: u64, line_bytes: u64) -> Option<PreparedTrace> {
         if need == 0 || need > self.capacity_insts {
             return None;
         }
-        {
-            let mut entries = self.lock();
-            if let Some(pos) = entries.iter().position(|e| &e.spec == spec) {
-                if entries[pos].trace.len() as u64 >= need {
-                    // Hit: refresh recency and share the storage.
-                    let e = entries.remove(pos);
-                    let trace = e.trace.clone();
-                    entries.push(e);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(trace);
-                }
+        let covers = |p: &PreparedTrace| p.len() as u64 >= need && p.line_bytes() == line_bytes;
+        // Moves a covering entry to the MRU end and shares it.
+        let refresh = |entries: &mut Vec<PoolEntry>| -> Option<PreparedTrace> {
+            let pos = entries.iter().position(|e| &e.spec == spec)?;
+            if !covers(&entries[pos].prepared) {
+                entries.remove(pos);
+                return None;
             }
+            let e = entries.remove(pos);
+            let prepared = e.prepared.clone();
+            entries.push(e);
+            Some(prepared)
+        };
+        if let Some(hit) = refresh(&mut self.lock()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(hit);
         }
         // Miss (or too-short recording): capture outside the lock so
         // other benchmarks' workers aren't stalled behind stream
         // generation. Concurrent builders of the same spec may race;
         // the determinism contract makes their recordings prefixes of
-        // one another, so whichever is longest wins below.
-        let trace = SharedTrace::capture(&mut spec.stream(), need);
+        // one another, so whichever covers the request first wins.
+        let prepared =
+            PreparedTrace::new(&SharedTrace::capture(&mut spec.stream(), need), line_bytes);
         self.builds.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.lock();
-        if let Some(pos) = entries.iter().position(|e| &e.spec == spec) {
-            if entries[pos].trace.len() as u64 >= need {
-                let e = entries.remove(pos);
-                let existing = e.trace.clone();
-                entries.push(e);
-                return Some(existing);
-            }
-            entries.remove(pos);
+        if let Some(existing) = refresh(&mut entries) {
+            return Some(existing);
         }
         entries.push(PoolEntry {
             spec: spec.clone(),
-            trace: trace.clone(),
-            prepared: None,
+            prepared: prepared.clone(),
         });
         // Evict least-recently-used recordings until under the bound
         // (the just-inserted entry, at the MRU end, always survives).
-        let mut total: u64 = entries.iter().map(|e| e.trace.len() as u64).sum();
+        let mut total: u64 = entries.iter().map(|e| e.prepared.len() as u64).sum();
         while total > self.capacity_insts && entries.len() > 1 {
-            total -= entries.remove(0).trace.len() as u64;
+            total -= entries.remove(0).prepared.len() as u64;
         }
-        Some(trace)
-    }
-
-    /// Like [`TracePool::get`], but returns the recording's
-    /// structure-of-arrays densification for machines with `line_bytes`
-    /// I-cache lines, building and caching it beside the raw trace on
-    /// first use. `None` under exactly the same conditions as `get`
-    /// (pooling disabled or the request exceeds the pool bound) —
-    /// cohort callers fall back to the per-job stream path then.
-    fn get_prepared(
-        &self,
-        spec: &BenchmarkSpec,
-        need: u64,
-        line_bytes: u64,
-    ) -> Option<PreparedTrace> {
-        if need == 0 || need > self.capacity_insts {
-            return None;
-        }
-        {
-            let mut entries = self.lock();
-            if let Some(pos) = entries.iter().position(|e| &e.spec == spec) {
-                let usable = entries[pos]
-                    .prepared
-                    .as_ref()
-                    .is_some_and(|p| p.line_bytes() == line_bytes && p.len() as u64 >= need);
-                if usable {
-                    // Hit: refresh recency and share the columns.
-                    let e = entries.remove(pos);
-                    let prep = e.prepared.clone().expect("probed above");
-                    entries.push(e);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(prep);
-                }
-            }
-        }
-        // No usable densification yet: obtain the raw recording through
-        // the normal pooling path (which counts the hit/build), then
-        // densify outside the lock and publish the result. A concurrent
-        // densifier of the same spec may race; keep whichever covers
-        // the other (same line size and at least as long).
-        let trace = self.get(spec, need)?;
-        let prep = PreparedTrace::new(&trace, line_bytes);
-        let mut entries = self.lock();
-        if let Some(pos) = entries.iter().position(|e| &e.spec == spec) {
-            let keep = entries[pos]
-                .prepared
-                .as_ref()
-                .is_some_and(|p| p.line_bytes() == line_bytes && p.len() >= prep.len());
-            if !keep {
-                entries[pos].prepared = Some(prep.clone());
-            }
-        }
-        Some(prep)
+        Some(prepared)
     }
 }
 
 /// Default bound on retained interval-memo snapshots (cloned paused
 /// simulators, roughly 50–300 KB each); override with
-/// `GALS_MCD_INTERVAL_MEMO_SNAPS` (`0` disables memoization).
+/// `GALS_MCD_INTERVAL_MEMO_SNAPS` (`0` disables window sharing and the
+/// memo).
 const DEFAULT_MEMO_SNAPS: usize = 64;
 
-/// Cross-cohort interval memoization (see
-/// [`SweepEngine::run_cohort`]).
+/// Commit-count stride of the points where a run pauses and may leave
+/// an interval-memo snapshot.
+const SNAP_STRIDE: u64 = 4_096;
+
+/// Identities whose reach the memo remembers before it starts over
+/// (reach only steers which snapshots are worth keeping).
+const REACH_LIMIT: usize = 4_096;
+
+/// Window sharing's registry and the cross-request interval memo.
 ///
-/// Jobs that share a `(benchmark, mode, config_key)` identity but
-/// differ in window simulate the **same machine over the same trace
-/// prefix** — determinism makes the paused state at a chunk boundary a
-/// pure function of that identity and the boundary, and the pacing
-/// pause mutates nothing, so the state is also independent of the
-/// chunking schedule that reached it. The memo therefore snapshots
-/// (clones) a paused member at each chunk boundary and lets any other
-/// member with the same identity — in this cohort, another worker's
-/// cohort, or a later batch — splice the snapshot instead of
-/// re-stepping the interval.
+/// **Registry.** [`SweepEngine::run_jobs`] registers each missing job's
+/// window under its identity before its workers start, and drops the
+/// registrations when the batch resolves; admission reads the other
+/// windows registered for a job's identity ([`IntervalMemo::siblings`]).
 ///
-/// Two guards keep a splice sound:
-///
-/// * the prepared trace's rolling [`PreparedTrace::prefix_digest`] at
-///   the boundary is part of the snapshot key, so identities that
-///   collide across different recordings (or line sizes) can never
-///   alias;
-/// * a snapshot is spliced only into a job whose window strictly
-///   exceeds the snapshot's committed count — commit clamps exactly at
-///   the window, so below it the evolution is window-independent.
-///
-/// Snapshots are only taken for identities registered at two or more
-/// distinct windows (`windows`): a sweep of all-distinct configurations
-/// pays one map probe per member turn and zero clones.
+/// **Snapshots.** A run pauses at every multiple of [`SNAP_STRIDE`]
+/// commits and offers its paused machine. Because the window only
+/// clamps commit, a machine paused at commit count `c` below its own
+/// window is exactly where a run of the same identity with any window
+/// above `c` would be, so a later run splices the farthest such
+/// snapshot instead of re-simulating the prefix. A snapshot is kept
+/// only when an earlier run of the identity reached past it (`reach`):
+/// an identity run once — every configuration of a one-shot sweep —
+/// costs no clones. The benchmark spec is kept beside the snapshot and
+/// compared in full on a probe, so identities that collide across
+/// different specs never alias.
 #[derive(Debug)]
 struct IntervalMemo {
     inner: Mutex<MemoInner>,
-    /// Maximum retained snapshots (FIFO eviction); `0` disables.
+    /// Maximum retained snapshots (FIFO eviction); `0` disables window
+    /// sharing and snapshots alike.
     capacity: usize,
     hits: AtomicU64,
     stores: AtomicU64,
@@ -344,14 +299,21 @@ struct IntervalMemo {
 
 #[derive(Debug, Default)]
 struct MemoInner {
-    /// Distinct windows enrolled per identity; ≥ 2 marks the identity
-    /// as shareable (an identical window re-run is the result cache's
-    /// job, not ours).
-    windows: FxHashMap<String, Vec<u64>>,
-    /// `(identity, chunk boundary, prefix digest)` → paused machine.
-    snaps: FxHashMap<(String, u64, u64), Arc<Simulator>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<(String, u64, u64)>,
+    /// Windows registered per identity by `run_jobs` batches in
+    /// progress, one entry per registered job.
+    registered: FxHashMap<String, Vec<u64>>,
+    /// The largest window a finished run of each identity reached.
+    reach: FxHashMap<String, u64>,
+    /// Retained snapshots, oldest first.
+    snaps: VecDeque<Snapshot>,
+}
+
+/// A paused machine and what it may be spliced into.
+#[derive(Debug)]
+struct Snapshot {
+    identity: String,
+    spec: BenchmarkSpec,
+    sim: Arc<Simulator>,
 }
 
 impl IntervalMemo {
@@ -370,23 +332,59 @@ impl IntervalMemo {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Records that `identity` is being simulated at `window`.
-    fn register(&self, identity: &str, window: u64) {
-        if self.capacity == 0 {
+    /// Registers a batch's `(identity, window)` pairs.
+    fn register(&self, regs: &[(String, u64)]) {
+        if self.capacity == 0 || regs.is_empty() {
             return;
         }
         let mut inner = self.lock();
-        let windows = inner.windows.entry(identity.to_string()).or_default();
-        if !windows.contains(&window) {
-            windows.push(window);
+        for (identity, window) in regs {
+            inner
+                .registered
+                .entry(identity.clone())
+                .or_default()
+                .push(*window);
         }
     }
 
-    /// Returns a deep copy of the memoized paused machine for
-    /// `identity` at trace boundary `chunk_end`, if one exists, its
-    /// trace prefix digest matches, and it is spliceable into a run
-    /// committing up to `window`.
-    fn probe(&self, identity: &str, chunk_end: u64, digest: u64, window: u64) -> Option<Simulator> {
+    /// Drops registrations made by [`IntervalMemo::register`].
+    fn unregister(&self, regs: &[(String, u64)]) {
+        if self.capacity == 0 || regs.is_empty() {
+            return;
+        }
+        let mut inner = self.lock();
+        for (identity, window) in regs {
+            if let Some(windows) = inner.registered.get_mut(identity) {
+                if let Some(at) = windows.iter().position(|w| w == window) {
+                    windows.swap_remove(at);
+                }
+                if windows.is_empty() {
+                    inner.registered.remove(identity);
+                }
+            }
+        }
+    }
+
+    /// The distinct windows other than `window` registered for
+    /// `identity`.
+    fn siblings(&self, identity: &str, window: u64) -> Vec<u64> {
+        if self.capacity == 0 {
+            return Vec::new();
+        }
+        let mut windows: Vec<u64> = self
+            .lock()
+            .registered
+            .get(identity)
+            .map(|ws| ws.iter().copied().filter(|&w| w != window).collect())
+            .unwrap_or_default();
+        windows.sort_unstable();
+        windows.dedup();
+        windows
+    }
+
+    /// A deep copy of the farthest retained snapshot of `identity` over
+    /// `spec` that a run whose smallest window is `below` can splice.
+    fn probe(&self, identity: &str, spec: &BenchmarkSpec, below: u64) -> Option<Simulator> {
         if self.capacity == 0 {
             return None;
         }
@@ -394,75 +392,79 @@ impl IntervalMemo {
             let inner = self.lock();
             inner
                 .snaps
-                .get(&(identity.to_string(), chunk_end, digest))?
-                .clone()
+                .iter()
+                .filter(|s| s.identity == identity && s.sim.committed() < below && s.spec == *spec)
+                .max_by_key(|s| s.sim.committed())
+                .map(|s| Arc::clone(&s.sim))?
         };
-        if shared.committed() >= window {
-            // The shorter-window run would have finished before this
-            // pause; it must simulate its own ending.
-            return None;
-        }
         self.hits.fetch_add(1, Ordering::Relaxed);
         // The deep copy happens outside the lock; only the Arc bump is
         // inside the critical section.
         Some((*shared).clone())
     }
 
-    /// Offers a paused machine for retention. No-op unless some *other*
-    /// registered window of `identity` strictly exceeds the paused
-    /// commit count — only such a job can ever splice the snapshot (a
-    /// same-window re-run is the result cache's business, and a shorter
-    /// window must simulate its own ending) — and the boundary is not
-    /// already held. The deep clone happens outside the lock, and only
-    /// for snapshots that passed the usefulness gate.
-    fn store(&self, identity: &str, chunk_end: u64, digest: u64, sim: &Simulator, window: u64) {
+    /// Offers a machine paused below its run's last window. It is kept
+    /// when an earlier run of `identity` reached past its commit count
+    /// and no snapshot at that count is held; the deep clone happens
+    /// outside the lock, and only for snapshots that pass.
+    fn store(&self, identity: &str, spec: &BenchmarkSpec, sim: &Simulator) {
         if self.capacity == 0 {
             return;
         }
         let committed = sim.committed();
-        {
-            let inner = self.lock();
-            let useful = inner
-                .windows
-                .get(identity)
-                .is_some_and(|ws| ws.iter().any(|&w| w != window && w > committed));
-            if !useful
-                || inner
+        let wanted = |inner: &MemoInner| {
+            inner.reach.get(identity).is_some_and(|&r| r > committed)
+                && !inner
                     .snaps
-                    .contains_key(&(identity.to_string(), chunk_end, digest))
-            {
-                return;
-            }
-        }
-        let snap = Arc::new(sim.clone());
-        let mut inner = self.lock();
-        let key = (identity.to_string(), chunk_end, digest);
-        if inner.snaps.contains_key(&key) {
+                    .iter()
+                    .any(|s| s.identity == identity && s.sim.committed() == committed)
+        };
+        if !wanted(&self.lock()) {
             return;
         }
-        inner.snaps.insert(key.clone(), snap);
-        inner.order.push_back(key);
-        while inner.order.len() > self.capacity {
-            let evicted = inner.order.pop_front().expect("len checked");
-            inner.snaps.remove(&evicted);
+        let sim = Arc::new(sim.clone());
+        let mut inner = self.lock();
+        if !wanted(&inner) {
+            return;
+        }
+        inner.snaps.push_back(Snapshot {
+            identity: identity.to_string(),
+            spec: spec.clone(),
+            sim,
+        });
+        if inner.snaps.len() > self.capacity {
+            inner.snaps.pop_front();
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Records that a run of `identity` reached `window`.
+    fn reached(&self, identity: &str, window: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        if let Some(reach) = inner.reach.get_mut(identity) {
+            *reach = (*reach).max(window);
+            return;
+        }
+        if inner.reach.len() >= REACH_LIMIT {
+            inner.reach.clear();
+        }
+        inner.reach.insert(identity.to_string(), window);
+    }
 }
 
-/// One member of a lockstep cohort: an admitted (claimed) job, its
-/// live simulator, the shared prepared trace, and the member's current
-/// pacing bound.
-struct CohortMember<'env> {
-    job: Job,
-    complete: Completion<'env>,
-    prep: PreparedTrace,
-    sim: Simulator,
-    /// Trace position this member's next turn advances to.
-    chunk_end: u64,
-    /// Interval-memo identity: `benchmark|mode|config_key` (everything
-    /// that determines the machine and its input except the window).
-    identity: String,
+/// An admitted configuration: the keys its worker claimed and must
+/// resolve.
+struct Admitted<'env> {
+    /// What to simulate.
+    item: MeasureItem,
+    /// The claimed windows, ascending.
+    windows: Vec<u64>,
+    /// The job that claimed, unless its own key settled at admission
+    /// while reserved siblings still need the run.
+    own: Option<(Job, Completion<'env>)>,
 }
 
 /// The work-stealing measurement engine over a sharded result cache.
@@ -473,19 +475,14 @@ struct CohortMember<'env> {
 pub struct SweepEngine {
     threads: usize,
     reference_loop: bool,
-    /// Lockstep cohort width: how many same-benchmark simulators one
-    /// worker advances over a shared prepared trace (`<2` = legacy
-    /// one-job-at-a-time execution).
-    cohort_width: usize,
-    /// Trace-chunk size (instructions) per cohort member turn.
-    chunk_insts: u64,
     cache: ResultCache,
     /// Shared benchmark recordings (see "Sweep-wide trace sharing" in
     /// the [module docs](self)).
     traces: TracePool,
-    /// Cross-cohort interval memoization (see [`IntervalMemo`]).
+    /// Window-sharing registry and cross-request snapshots (see
+    /// [`IntervalMemo`]).
     memo: IntervalMemo,
-    /// Simulations actually executed (cache misses), for observability.
+    /// Keys measured by simulation (cache misses), for observability.
     simulated: AtomicU64,
     /// Requests served straight from the cache.
     cache_hits: AtomicU64,
@@ -508,17 +505,10 @@ impl SweepEngine {
         // `gals_common::env`); silently ignoring an operator's tuning
         // knob was a bug.
         let pool_insts = parse_env_or("GALS_MCD_TRACE_POOL_INSTS", DEFAULT_POOL_INSTS);
-        let cohort_width = parse_env_or("GALS_MCD_COHORT_WIDTH", DEFAULT_COHORT_WIDTH);
-        let chunk_insts = match parse_env_or("GALS_MCD_COHORT_CHUNK", DEFAULT_COHORT_CHUNK) {
-            0 => DEFAULT_COHORT_CHUNK,
-            c => c,
-        };
         let memo_snaps = parse_env_or("GALS_MCD_INTERVAL_MEMO_SNAPS", DEFAULT_MEMO_SNAPS);
         SweepEngine {
             threads,
             reference_loop: false,
-            cohort_width,
-            chunk_insts,
             cache,
             traces: TracePool::new(pool_insts),
             memo: IntervalMemo::new(memo_snaps),
@@ -546,11 +536,12 @@ impl SweepEngine {
     }
 
     /// Disables the shared trace pool: every job regenerates its
-    /// instruction stream from RNG scratch. Results are bit-identical
-    /// either way (the pooling integration tests assert it); this exists
-    /// for the throughput reporter's per-job-stream baseline and for
-    /// bounding memory on hosts where even one window's trace is too
-    /// large to keep.
+    /// instruction stream from RNG scratch, and with no recording to
+    /// pause over, each window runs on its own. Results are
+    /// bit-identical either way (the pooling integration tests assert
+    /// it); this exists for the throughput reporter's per-job-stream
+    /// baseline and for bounding memory on hosts where even one
+    /// window's trace is too large to keep.
     #[must_use]
     pub fn without_trace_pool(mut self) -> Self {
         self.traces = TracePool::new(0);
@@ -565,47 +556,16 @@ impl SweepEngine {
         self
     }
 
-    /// Sets the lockstep cohort width: up to `width` same-benchmark
-    /// jobs advance over one shared prepared trace per worker. `0` or
-    /// `1` selects the legacy one-job-at-a-time path (results are
-    /// bit-identical either way — the cohort integration tests assert
-    /// it); the default is 8, env-overridable via
-    /// `GALS_MCD_COHORT_WIDTH`.
-    #[must_use]
-    pub fn with_cohort_width(mut self, width: usize) -> Self {
-        self.cohort_width = width;
-        self
-    }
-
-    /// Sets the per-turn trace-chunk size in instructions (minimum 1;
-    /// default 4096, env-overridable via `GALS_MCD_COHORT_CHUNK`).
-    /// Chunking affects only cache residency, never results.
-    #[must_use]
-    pub fn with_cohort_chunk(mut self, insts: u64) -> Self {
-        self.chunk_insts = insts.max(1);
-        self
-    }
-
-    /// Caps the interval memo at `snaps` retained snapshots (`0`
-    /// disables memoization; the default is 64, env-overridable via
-    /// `GALS_MCD_INTERVAL_MEMO_SNAPS`). Memoization affects wall clock
-    /// only, never results — a spliced snapshot is bit-identical to
-    /// re-stepping the interval (the cohort integration tests assert
-    /// it).
+    /// Caps the interval memo at `snaps` retained snapshots (the default
+    /// is 64, env-overridable via `GALS_MCD_INTERVAL_MEMO_SNAPS`). `0`
+    /// disables window sharing and the memo: every key then simulates
+    /// on its own. Neither affects results — a shared window or a
+    /// spliced snapshot is bit-identical to running the key alone (the
+    /// window-sharing integration tests assert it).
     #[must_use]
     pub fn with_interval_memo_snaps(mut self, snaps: usize) -> Self {
         self.memo = IntervalMemo::new(snaps);
         self
-    }
-
-    /// The lockstep cohort width (`<2` = legacy path).
-    pub fn cohort_width(&self) -> usize {
-        self.cohort_width
-    }
-
-    /// The per-turn trace-chunk size in instructions.
-    pub fn cohort_chunk(&self) -> u64 {
-        self.chunk_insts
     }
 
     /// The worker thread count.
@@ -618,7 +578,8 @@ impl SweepEngine {
         &self.cache
     }
 
-    /// Simulations executed since construction (excludes cache hits).
+    /// Keys measured by simulation since construction (excludes cache
+    /// hits; a shared run counts every window it answers).
     pub fn simulated_count(&self) -> u64 {
         self.simulated.load(Ordering::Relaxed)
     }
@@ -628,8 +589,8 @@ impl SweepEngine {
         self.cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Simulations that replayed a pooled trace instead of regenerating
-    /// their benchmark's stream.
+    /// Recording requests the trace pool answered from an existing
+    /// capture instead of regenerating the benchmark's stream.
     pub fn trace_pool_hits(&self) -> u64 {
         self.traces.hits.load(Ordering::Relaxed)
     }
@@ -653,13 +614,14 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Chunk turns answered by splicing a memoized interval snapshot
-    /// instead of re-stepping the interval.
+    /// Keys answered without simulating their own prefix: every window
+    /// a shared run answers beyond its first, plus every run that
+    /// spliced a memoized snapshot.
     pub fn interval_memo_hits(&self) -> u64 {
         self.memo.hits.load(Ordering::Relaxed)
     }
 
-    /// Interval snapshots retained by the memo.
+    /// Snapshots retained by the interval memo.
     pub fn interval_memo_stores(&self) -> u64 {
         self.memo.stores.load(Ordering::Relaxed)
     }
@@ -719,9 +681,10 @@ impl SweepEngine {
     /// outcomes in submission order. Jobs may mix windows, machine
     /// styles, priorities, and deadlines freely: workers pull them from
     /// a private [`JobScheduler`] in priority/aging order, duplicates
-    /// are simulated once (in-flight dedupe plus the shared cache), and
-    /// `on_outcome(i, &outcome)` streams each job's resolution as it
-    /// happens.
+    /// are simulated once (in-flight dedupe plus the shared cache), the
+    /// windows of one configuration share one run (see "Window sharing"
+    /// in the [module docs](self)), and `on_outcome(i, &outcome)`
+    /// streams each job's resolution as it happens.
     pub fn run_jobs(
         &self,
         jobs: Vec<Job>,
@@ -733,7 +696,7 @@ impl SweepEngine {
         let slots: Vec<std::sync::Mutex<Option<JobOutcome>>> =
             (0..n).map(|_| std::sync::Mutex::new(None)).collect();
         let sched = JobScheduler::new();
-        let misses;
+        let mut registered = Vec::new();
         {
             let slots = &slots;
             let on_outcome = &on_outcome;
@@ -754,14 +717,7 @@ impl SweepEngine {
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
                     continue;
                 }
-                // Register the job's memo identity before any worker
-                // starts: a batch mixing windows of one configuration
-                // must mark the identity shareable *before* the first
-                // window's cohort runs (and discards) the shared
-                // prefix, or sequentially formed cohorts never hit.
-                if self.cohort_width >= 2 {
-                    self.memo.register(&job.item.memo_identity(), job.window);
-                }
+                registered.push((job.item.memo_identity(), job.window));
                 let complete = Box::new(move |_job: Job, outcome: JobOutcome| {
                     on_outcome(i, &outcome);
                     *slots[i]
@@ -770,20 +726,24 @@ impl SweepEngine {
                 }) as crate::sched::Completion<'_>;
                 batch.push((job, complete));
             }
-            misses = batch.len();
-            if misses > 0 {
+            // Every window of the batch is registered before any worker
+            // starts, so the first job of a configuration to claim
+            // reserves all of them, whatever the timing.
+            self.memo.register(&registered);
+            if !batch.is_empty() {
                 assert!(sched.submit_batch(batch), "fresh scheduler is open");
             }
         }
         sched.close();
-        if misses > 0 {
-            let threads = self.threads.min(misses);
+        if !registered.is_empty() {
+            let threads = self.threads.min(registered.len());
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     scope.spawn(|| self.serve_jobs(&sched));
                 }
             });
         }
+        self.memo.unregister(&registered);
         // Every completion has fired; release the scheduler's borrows
         // before consuming the slot buffer.
         drop(sched);
@@ -804,123 +764,149 @@ impl SweepEngine {
     ///
     /// Per popped job, in order:
     ///
-    /// 1. **Cache** — a hit completes immediately (even past the
-    ///    deadline: it costs nothing).
-    /// 2. **Deadline** — an expired job completes as
+    /// 1. **Cancelled** — a job whose requester is gone completes as
+    ///    [`JobOutcome::Expired`]: even a cached answer would go to
+    ///    nobody.
+    /// 2. **Settled** — a cached runtime completes immediately (even
+    ///    past the deadline: it costs nothing), as does a key already
+    ///    known to panic.
+    /// 3. **Deadline** — an expired job completes as
     ///    [`JobOutcome::Expired`] without simulating.
-    /// 3. **Claim** — the job claims its cache key or attaches as a
+    /// 4. **Claim** — the job claims its cache key, reserving the other
+    ///    registered windows of its configuration, or attaches as a
     ///    follower of the worker already measuring that key.
-    /// 4. **Run** — a claimer simulates (a panic is caught and becomes
-    ///    [`JobOutcome::Panicked`]), records the cache with batched
-    ///    persistence, then fires its own completion and every
-    ///    follower's. With `cohort_width ≥ 2` the claimed job anchors a
-    ///    lockstep **cohort**: affine jobs are pulled from the queue
-    ///    ([`JobScheduler::pop_affine`]), admitted through the same
-    ///    steps 1–3, and advanced together over one shared prepared
-    ///    trace, each harvesting — and its slot backfilling — as it
-    ///    finishes. Cohort execution is bit-identical to one-at-a-time
-    ///    (asserted by the cohort integration tests).
+    /// 5. **Run** — the claimer simulates once, to its largest claimed
+    ///    window; as the commit count crosses each claimed window it
+    ///    records the cache (with batched persistence) and fires that
+    ///    key's completions.
     pub fn serve_jobs<'env>(&self, sched: &JobScheduler<'env>) {
         while let Some((job, complete)) = sched.pop() {
-            let Some((job, complete)) = self.admit(job, complete, sched) else {
-                continue;
-            };
-            if self.cohort_width >= 2 {
-                self.run_cohort(job, complete, sched);
-            } else {
-                let ns = self.run_one(&job.item, job.window);
-                self.finalize(job.cache_key(), ns, job, complete, sched);
+            if let Some(admitted) = self.admit(job, complete, sched) {
+                self.run_one(admitted, sched);
             }
         }
     }
 
-    /// Admission steps 1–3 of [`SweepEngine::serve_jobs`] plus the
-    /// post-claim re-probe, for one popped job. Returns the job back
-    /// when the caller owns its cache key and must simulate; `None`
-    /// when the job already resolved (cache hit, expiry, known-panic
-    /// key, or attached as an in-flight follower).
+    /// Admission steps 1–4 of [`SweepEngine::serve_jobs`] plus the
+    /// post-claim re-probe, for one popped job. Returns the claimed
+    /// windows still to simulate; `None` when nothing is left to run
+    /// (settled, expired, or attached as an in-flight follower).
     fn admit<'env>(
         &self,
         job: Job,
         complete: Completion<'env>,
         sched: &JobScheduler<'env>,
-    ) -> Option<(Job, Completion<'env>)> {
+    ) -> Option<Admitted<'env>> {
+        if job
+            .cancelled
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+        {
+            complete(job, JobOutcome::Expired);
+            return None;
+        }
         let key = job.cache_key();
-        if let Some(ns) = self.cache.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            complete(
-                job,
-                JobOutcome::Completed {
-                    runtime_ns: ns,
-                    cached: true,
-                },
-            );
+        if let Some(outcome) = self.settled(&key) {
+            if outcome.runtime_ns().is_some() {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            complete(job, outcome);
             return None;
         }
         if job.expired_at(Instant::now()) {
             complete(job, JobOutcome::Expired);
             return None;
         }
-        if self
-            .panicked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .contains(key.as_str())
-        {
-            complete(job, JobOutcome::Panicked);
-            return None;
-        }
-        let Claim::Run(job, complete) = sched.claim(key.as_str(), job, complete) else {
+        let mut siblings: Vec<(u64, CacheKey)> = self
+            .memo
+            .siblings(&job.item.memo_identity(), job.window)
+            .into_iter()
+            .map(|w| (w, job.item.cache_key(w)))
+            .collect();
+        let keys = siblings.iter().map(|(_, k)| k.clone()).collect();
+        let Claim::Run(job, complete, reserved) = sched.claim(key.as_str(), keys, job, complete)
+        else {
             // A follower: the claiming worker fires its completion.
             return None;
         };
-        // Re-probe the cache and the panicked set now that the
-        // claim is ours: a previous claimer of this key may have
-        // finished (populating one of them) between our pop-time
-        // probes and the claim — without this, that window
-        // re-simulates the key and breaks the "simulated exactly
-        // once" accounting.
-        if let Some(ns) = self.cache.get(&key) {
-            let outcome = JobOutcome::Completed {
-                runtime_ns: ns,
-                cached: true,
-            };
-            let followers = sched.release(key.as_str());
-            self.cache_hits
-                .fetch_add(1 + followers.len() as u64, Ordering::Relaxed);
-            complete(job, outcome);
-            for (fjob, fcomplete) in followers {
-                fcomplete(fjob, outcome);
+        siblings.retain(|(_, k)| reserved.contains(k));
+        // Re-probe every claimed key now that the claims are ours: a
+        // previous claimer may have finished one (populating the cache
+        // or the panicked set) between our pop-time probes and the
+        // claim — without this, that window re-simulates the key and
+        // breaks the "simulated exactly once" accounting.
+        let item = job.item.clone();
+        let mut windows = Vec::with_capacity(siblings.len() + 1);
+        let mut own = None;
+        match self.settled(&key) {
+            Some(outcome) => self.resolve(&key, outcome, Some((job, complete)), sched),
+            None => {
+                windows.push(job.window);
+                own = Some((job, complete));
             }
+        }
+        for (w, k) in siblings {
+            match self.settled(&k) {
+                Some(outcome) => self.resolve(&k, outcome, None, sched),
+                None => windows.push(w),
+            }
+        }
+        if windows.is_empty() {
             return None;
         }
-        if self
-            .panicked
+        windows.sort_unstable();
+        Some(Admitted { item, windows, own })
+    }
+
+    /// The outcome an earlier run already settled for `key`: its cached
+    /// runtime, or a recorded panic.
+    fn settled(&self, key: &CacheKey) -> Option<JobOutcome> {
+        if let Some(ns) = self.cache.get(key) {
+            return Some(JobOutcome::Completed {
+                runtime_ns: ns,
+                cached: true,
+            });
+        }
+        self.panicked
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .contains(key.as_str())
-        {
-            let followers = sched.release(key.as_str());
-            complete(job, JobOutcome::Panicked);
-            for (fjob, fcomplete) in followers {
-                fcomplete(fjob, JobOutcome::Panicked);
-            }
-            return None;
-        }
-        Some((job, complete))
+            .then_some(JobOutcome::Panicked)
     }
 
-    /// Step 4's resolution tail: records `ns` (NaN = panicked) for an
-    /// admitted job, releases its claim, and fires its completion and
-    /// every follower's.
-    fn finalize<'env>(
+    /// Releases this worker's claim on `key` and fires `own` (the job
+    /// that claimed it, if it is still waiting) and every follower with
+    /// `outcome`.
+    fn resolve<'env>(
         &self,
-        key: CacheKey,
-        ns: f64,
-        job: Job,
-        complete: Completion<'env>,
+        key: &CacheKey,
+        outcome: JobOutcome,
+        own: Option<(Job, Completion<'env>)>,
         sched: &JobScheduler<'env>,
     ) {
+        let followers = sched.release(key.as_str());
+        if matches!(outcome, JobOutcome::Completed { cached: true, .. }) {
+            let n = u64::from(own.is_some()) + followers.len() as u64;
+            self.cache_hits.fetch_add(n, Ordering::Relaxed);
+        }
+        if let Some((job, complete)) = own {
+            complete(job, outcome);
+        }
+        for (fjob, fcomplete) in followers {
+            fcomplete(fjob, outcome);
+        }
+    }
+
+    /// Records a freshly simulated `ns` (NaN = panicked) for a claimed
+    /// key and resolves it.
+    fn finalize<'env>(
+        &self,
+        key: &CacheKey,
+        ns: f64,
+        own: Option<(Job, Completion<'env>)>,
+        sched: &JobScheduler<'env>,
+    ) {
+        self.simulated.fetch_add(1, Ordering::Relaxed);
         let outcome = if ns.is_finite() {
             self.cache.put(key.clone(), ns);
             self.cache.maybe_save_batched(SAVE_BATCH);
@@ -935,218 +921,91 @@ impl SweepEngine {
                 .insert(key.as_str().to_string());
             JobOutcome::Panicked
         };
-        let followers = sched.release(key.as_str());
-        complete(job, outcome);
-        for (fjob, fcomplete) in followers {
-            fcomplete(fjob, outcome);
-        }
+        self.resolve(key, outcome, own, sched);
     }
 
-    /// Runs an admitted job as the anchor of a lockstep cohort: same-
-    /// benchmark jobs pulled from the queue advance round-robin over
-    /// one shared [`PreparedTrace`] in chunks of `chunk_insts`, so the
-    /// chunk's fact columns stay cache-resident while every member
-    /// crosses them. A member that commits its window (or panics) is
-    /// harvested immediately and its slot backfilled from the queue.
-    ///
-    /// Chunking and cohort composition affect wall clock only: each
-    /// member's architectural outcome is bit-identical to a solo
-    /// [`SweepEngine::run_one`] (the pacing pause in
-    /// [`Simulator::run_chunk`] is stateless), which the determinism
-    /// and cohort integration suites assert.
-    fn run_cohort<'env>(&self, job: Job, complete: Completion<'env>, sched: &JobScheduler<'env>) {
-        let spec = job.item.spec.clone();
-        let mut members = Vec::with_capacity(self.cohort_width);
-        self.enroll(job, complete, sched, &mut members);
-        if members.is_empty() {
-            // Pooling unavailable for this job: it already ran solo.
-            return;
-        }
-        self.backfill(&spec, sched, &mut members);
-
-        let chunk = self.chunk_insts.max(1);
-        let mut i = 0;
-        while !members.is_empty() {
-            if i >= members.len() {
-                i = 0;
+    /// Step 5 of [`SweepEngine::serve_jobs`]: simulates an admitted
+    /// configuration once, to its largest claimed window, and finalizes
+    /// each claimed key when the commit count crosses its window (the
+    /// runtime so far is then exactly that window's runtime). A panic —
+    /// a model bug tripped by this configuration, e.g. the deadlock
+    /// detector — resolves every key not yet crossed as panicked,
+    /// exactly as running each alone would, and the rest of the batch
+    /// survives.
+    fn run_one<'env>(&self, admitted: Admitted<'env>, sched: &JobScheduler<'env>) {
+        let Admitted {
+            item,
+            windows,
+            mut own,
+        } = admitted;
+        let mut answer = |window: u64, ns: f64| {
+            let own = own.take_if(|(job, _)| job.window == window);
+            self.finalize(&item.cache_key(window), ns, own, sched);
+        };
+        let machine = &item.machine;
+        let last = *windows.last().expect("an admitted run claims a window");
+        // A run consumes at most its window of committed instructions
+        // plus the in-flight bound of fetched-but-uncommitted ones, so a
+        // recording of that length fully substitutes for the live
+        // stream (the prepared trace asserts this by refusing to read
+        // past its end).
+        let need = last + machine.params.max_in_flight() as u64;
+        let Some(prep) = self.traces.get(&item.spec, need, machine.params.line_bytes) else {
+            // No recording to pause over: each window runs alone on a
+            // live stream.
+            for &w in &windows {
+                let ns = catch_unwind(AssertUnwindSafe(|| {
+                    self.simulator(machine)
+                        .run(&mut item.spec.stream(), w)
+                        .runtime_ns()
+                }));
+                answer(w, ns.unwrap_or(f64::NAN));
             }
-            // A member of a higher class than the round-robin pick (a
-            // high-priority job backfilled into a low-priority cohort)
-            // takes every turn until it finishes, so joining a cohort
-            // never queues it behind lower-priority members.
-            let top = (0..members.len())
-                .max_by_key(|&k| members[k].job.priority)
-                .expect("non-empty cohort");
-            if members[top].job.priority > members[i].job.priority {
-                i = top;
-            }
-            let m = &mut members[i];
-            let next_end = m.chunk_end.saturating_add(chunk);
-            // Interval memoization: if another member (any cohort, any
-            // worker, any batch) already simulated this identity up to
-            // the next chunk boundary, splice its paused state instead
-            // of re-stepping the interval. See [`IntervalMemo`] for the
-            // soundness argument.
-            if next_end < m.prep.len() as u64 {
-                let digest = m.prep.prefix_digest(next_end as usize);
-                if let Some(sim) = self.memo.probe(&m.identity, next_end, digest, m.job.window) {
-                    m.sim = sim;
-                    m.chunk_end = next_end;
-                    i += 1;
-                    continue;
-                }
-            }
-            m.chunk_end = next_end;
-            // Once the pacing bound passes the recording's end the
-            // capture contract (window + max_in_flight) guarantees the
-            // run finishes without it: disable the gate and let the
-            // member run to its window.
-            let upto = if m.chunk_end >= m.prep.len() as u64 {
-                u64::MAX
-            } else {
-                m.chunk_end
-            };
-            let window = m.job.window;
-            let stepped = {
-                let sim = &mut m.sim;
-                let prep = &m.prep;
-                catch_unwind(AssertUnwindSafe(|| sim.run_chunk(prep, window, upto)))
-            };
-            match stepped {
-                Ok(false) => {
-                    // Paused exactly at `chunk_end`: offer the state to
-                    // the memo (cheap no-op unless another window of
-                    // this identity, enrolled somewhere, can still
-                    // splice it).
-                    let digest = m.prep.prefix_digest(m.chunk_end as usize);
-                    self.memo
-                        .store(&m.identity, m.chunk_end, digest, &m.sim, window);
-                    i += 1;
-                }
-                Ok(true) => {
-                    let m = members.swap_remove(i);
-                    self.simulated.fetch_add(1, Ordering::Relaxed);
-                    let key = m.job.cache_key();
-                    let (sim, prep) = (m.sim, m.prep);
-                    let ns = catch_unwind(AssertUnwindSafe(move || {
-                        sim.finish(prep.name()).runtime_ns()
-                    }))
-                    .unwrap_or(f64::NAN);
-                    self.finalize(key, ns, m.job, m.complete, sched);
-                    self.backfill(&spec, sched, &mut members);
-                }
-                Err(_) => {
-                    // A model bug tripped by this member's config; the
-                    // rest of the cohort is unaffected.
-                    let m = members.swap_remove(i);
-                    self.simulated.fetch_add(1, Ordering::Relaxed);
-                    self.finalize(m.job.cache_key(), f64::NAN, m.job, m.complete, sched);
-                    self.backfill(&spec, sched, &mut members);
-                }
-            }
-        }
-    }
-
-    /// Builds an admitted job's cohort membership (prepared trace +
-    /// fresh simulator). When the pool can't serve a prepared trace
-    /// (pooling disabled, or the recording would exceed the bound) the
-    /// job runs solo right here instead — the legacy path, identical
-    /// results.
-    fn enroll<'env>(
-        &self,
-        job: Job,
-        complete: Completion<'env>,
-        sched: &JobScheduler<'env>,
-        members: &mut Vec<CohortMember<'env>>,
-    ) {
-        let machine = job.item.machine.clone();
-        let need = job.window + machine.params.max_in_flight() as u64;
-        let Some(prep) = self
-            .traces
-            .get_prepared(&job.item.spec, need, machine.params.line_bytes)
-        else {
-            let ns = self.run_one(&job.item, job.window);
-            self.finalize(job.cache_key(), ns, job, complete, sched);
             return;
         };
-        let reference_loop = self.reference_loop;
-        match catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulator::new(machine);
-            if reference_loop {
-                sim = sim.use_reference_loop();
+        let identity = item.memo_identity();
+        let sim = match self.memo.probe(&identity, &item.spec, windows[0]) {
+            Some(spliced) => Ok(spliced),
+            None => catch_unwind(AssertUnwindSafe(|| self.simulator(machine))),
+        };
+        let Ok(mut sim) = sim else {
+            for &w in &windows {
+                answer(w, f64::NAN);
             }
-            sim
-        })) {
-            Ok(sim) => {
-                let identity = job.item.memo_identity();
-                self.memo.register(&identity, job.window);
-                members.push(CohortMember {
-                    job,
-                    complete,
-                    prep,
-                    sim,
-                    chunk_end: 0,
-                    identity,
-                });
-            }
-            Err(_) => {
-                // Construction panicked (a custom-machine model bug):
-                // resolve exactly as a panicking solo run would.
-                self.simulated.fetch_add(1, Ordering::Relaxed);
-                self.finalize(job.cache_key(), f64::NAN, job, complete, sched);
-            }
-        }
-    }
-
-    /// Refills a cohort to `cohort_width` with benchmark-affine jobs
-    /// from the queue, admitting each through the standard steps. A
-    /// late joiner starts from trace position zero and catches up in
-    /// chunk-sized turns — identical state evolution, it just trails
-    /// the others through the (still warm) early columns.
-    fn backfill<'env>(
-        &self,
-        spec: &BenchmarkSpec,
-        sched: &JobScheduler<'env>,
-        members: &mut Vec<CohortMember<'env>>,
-    ) {
-        while members.len() < self.cohort_width {
-            let want = self.cohort_width - members.len();
-            let batch = sched.pop_affine(spec, want);
-            if batch.is_empty() {
-                break;
-            }
-            for (job, complete) in batch {
-                if let Some((job, complete)) = self.admit(job, complete, sched) {
-                    self.enroll(job, complete, sched, members);
+            return;
+        };
+        let mut pending = windows.iter().copied().peekable();
+        while let Some(&next) = pending.peek() {
+            let snap_at = (sim.committed() / SNAP_STRIDE + 1) * SNAP_STRIDE;
+            let upto = next.min(snap_at);
+            if catch_unwind(AssertUnwindSafe(|| sim.run_chunk(&prep, last, upto))).is_err() {
+                for w in pending {
+                    answer(w, f64::NAN);
                 }
+                return;
+            }
+            let ns = sim.runtime_ns();
+            while let Some(w) = pending.next_if(|&w| sim.committed() >= w) {
+                answer(w, ns);
+            }
+            if pending.peek().is_some() && sim.committed() >= snap_at {
+                self.memo.store(&identity, &item.spec, &sim);
             }
         }
+        self.memo.reached(&identity, last);
+        self.memo
+            .hits
+            .fetch_add(windows.len() as u64 - 1, Ordering::Relaxed);
     }
 
-    /// Runs one simulation, converting a panic (a model bug tripped by
-    /// this particular configuration, e.g. the deadlock detector) into
-    /// NaN so the rest of the batch survives.
-    fn run_one(&self, item: &MeasureItem, window: u64) -> f64 {
-        let machine = item.machine.clone();
-        let reference_loop = self.reference_loop;
-        // A run consumes at most `window` committed instructions plus
-        // the in-flight bound of fetched-but-uncommitted ones, so a
-        // recording of that length fully substitutes for the live
-        // stream (the replay asserts this by refusing to loop).
-        let need = window + machine.params.max_in_flight() as u64;
-        let trace = self.traces.get(&item.spec, need);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulator::new(machine);
-            if reference_loop {
-                sim = sim.use_reference_loop();
-            }
-            match &trace {
-                Some(t) => sim.run(&mut t.replay(), window).runtime_ns(),
-                None => sim.run(&mut item.spec.stream(), window).runtime_ns(),
-            }
-        }));
-        self.simulated.fetch_add(1, Ordering::Relaxed);
-        outcome.unwrap_or(f64::NAN)
+    /// A fresh simulator for `machine` on the engine's chosen loop.
+    fn simulator(&self, machine: &MachineConfig) -> Simulator {
+        let sim = Simulator::new(machine.clone());
+        if self.reference_loop {
+            sim.use_reference_loop()
+        } else {
+            sim
+        }
     }
 
     /// Persists the cache immediately.
@@ -1281,17 +1140,17 @@ mod tests {
         let a = suite::by_name("gzip").unwrap();
         let b = suite::by_name("art").unwrap();
         let c = suite::by_name("power").unwrap();
-        assert!(pool.get(&a, 400).is_some());
-        assert!(pool.get(&b, 400).is_some());
+        assert!(pool.get(&a, 400, 64).is_some());
+        assert!(pool.get(&b, 400, 64).is_some());
         // Touch `a` so `b` is the LRU entry, then overflow with `c`.
-        assert!(pool.get(&a, 400).is_some());
-        assert!(pool.get(&c, 400).is_some());
+        assert!(pool.get(&a, 400, 64).is_some());
+        assert!(pool.get(&c, 400, 64).is_some());
         let entries = pool.lock();
         let names: Vec<&str> = entries.iter().map(|e| e.spec.name()).collect();
         assert_eq!(names, ["gzip", "power"], "LRU (art) evicted, MRU kept");
         drop(entries);
         assert!(
-            pool.get(&a, 2_000).is_none(),
+            pool.get(&a, 2_000, 64).is_none(),
             "a request beyond the pool bound is declined, not thrashed"
         );
     }

@@ -26,7 +26,10 @@
 //! * **In-flight dedupe**: when several queued jobs name the same cache
 //!   key, the first popped claims the key and simulates; the others
 //!   attach as followers and complete — with the identical,
-//!   deterministic result — the moment the claimer finishes.
+//!   deterministic result — the moment the claimer finishes. A claimer
+//!   may reserve sibling keys in the same step (the other windows of its
+//!   configuration, which its one run also answers); jobs of a reserved
+//!   key follow the claimer just the same.
 //!
 //! The scheduler holds completion callbacks, not result slots: every
 //! submitted job's completion fires exactly once (measured, cache hit,
@@ -267,8 +270,9 @@ struct SchedState<'env> {
 // executed job for no aliveness win.
 #[allow(clippy::large_enum_variant)]
 pub enum Claim<'env> {
-    /// The caller owns the key: execute, then [`JobScheduler::release`].
-    Run(Job, Completion<'env>),
+    /// The caller owns the key and the reserved sibling keys listed:
+    /// execute, then [`JobScheduler::release`] each of them.
+    Run(Job, Completion<'env>, Vec<CacheKey>),
     /// Another worker is already measuring this key; the job was
     /// attached as a follower and will complete when the claimer
     /// releases. The caller moves on.
@@ -278,7 +282,11 @@ pub enum Claim<'env> {
 impl std::fmt::Debug for Claim<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Claim::Run(job, _) => f.debug_tuple("Run").field(&job.tag).finish(),
+            Claim::Run(job, _, reserved) => f
+                .debug_tuple("Run")
+                .field(&job.tag)
+                .field(reserved)
+                .finish(),
             Claim::Follower => f.write_str("Follower"),
         }
     }
@@ -315,10 +323,6 @@ impl<'env> JobScheduler<'env> {
     /// Default aging step: a queued job is bypassed by at most
     /// `level_difference × 1024` later admissions before it runs.
     pub const DEFAULT_AGING_STEP: u64 = 1024;
-
-    /// Maximum entries one [`pop_affine`](Self::pop_affine) call skips
-    /// over while hunting for affine jobs.
-    pub const AFFINE_SCAN_LIMIT: usize = 256;
 
     /// A scheduler with the default aging step.
     pub fn new() -> Self {
@@ -406,63 +410,36 @@ impl<'env> JobScheduler<'env> {
         }
     }
 
-    /// Pops up to `max_k` queued jobs whose measurement targets `spec`
-    /// — the benchmark-affinity pop the cohort runner uses to fill a
-    /// lockstep batch. Non-blocking: returns what is immediately
-    /// available, possibly nothing.
-    ///
-    /// Ordering contract: affinity may reorder jobs only *within* one
-    /// priority class. The scan walks the heap in rank order, fixes the
-    /// **leading class** to the class of the current queue head, skips
-    /// (and restores, ranks untouched) same-class jobs on other
-    /// benchmarks, and stops cold at the first job of a different class
-    /// — so a job never jumps a class boundary it would not already
-    /// cross under the documented aging bypass, and the relative order
-    /// of everything not taken is unchanged. The scan is additionally
-    /// capped at [`Self::AFFINE_SCAN_LIMIT`] entries so a worker never
-    /// holds the queue lock for an O(queue) walk.
-    pub fn pop_affine(
-        &self,
-        spec: &gals_workloads::BenchmarkSpec,
-        max_k: usize,
-    ) -> Vec<(Job, Completion<'env>)> {
-        let mut st = self.lock();
-        let mut taken = Vec::new();
-        let mut put_back = Vec::new();
-        let mut leading: Option<Priority> = None;
-        while taken.len() < max_k && put_back.len() < Self::AFFINE_SCAN_LIMIT {
-            let Some(q) = st.heap.pop() else { break };
-            let class = *leading.get_or_insert(q.job.priority);
-            if q.job.priority != class {
-                st.heap.push(q);
-                break;
-            }
-            if q.job.item.spec == *spec {
-                taken.push((q.job, q.complete));
-            } else {
-                put_back.push(q);
-            }
-        }
-        for q in put_back {
-            st.heap.push(q);
-        }
-        taken
-    }
-
     /// Claims `key` for execution, or attaches the job as a follower of
-    /// the worker already measuring it.
-    pub fn claim(&self, key: &str, job: Job, complete: Completion<'env>) -> Claim<'env> {
+    /// the worker already measuring it. A claimer also reserves, in the
+    /// same critical section, every key of `siblings` that no worker
+    /// holds: later jobs of a reserved key attach as its followers, and
+    /// the claimer releases it like its own. Because the claim and the
+    /// reservations are one step, the first job of a sibling group to
+    /// claim takes every free key of the group, whatever the timing.
+    pub fn claim(
+        &self,
+        key: &str,
+        mut siblings: Vec<CacheKey>,
+        job: Job,
+        complete: Completion<'env>,
+    ) -> Claim<'env> {
         let mut st = self.lock();
-        match st.inflight.entry(key.to_string()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().push((job, complete));
-                Claim::Follower
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Vec::new());
-                Claim::Run(job, complete)
-            }
+        if let Some(followers) = st.inflight.get_mut(key) {
+            followers.push((job, complete));
+            return Claim::Follower;
         }
+        st.inflight.insert(key.to_string(), Vec::new());
+        siblings.retain(|k| {
+            k.as_str() != key && {
+                let free = !st.inflight.contains_key(k.as_str());
+                if free {
+                    st.inflight.insert(k.as_str().to_string(), Vec::new());
+                }
+                free
+            }
+        });
+        Claim::Run(job, complete, siblings)
     }
 
     /// Releases a claimed key, returning every follower that attached
@@ -565,75 +542,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_affine_reorders_only_within_the_leading_class() {
-        let sched = JobScheduler::new();
-        for (bench, tag, p) in [
-            ("gcc", "n1", Priority::Normal),
-            ("adpcm_encode", "n2", Priority::Normal),
-            ("gcc", "n3", Priority::Normal),
-            ("adpcm_encode", "n4", Priority::Normal),
-            ("adpcm_encode", "l1", Priority::Low),
-        ] {
-            assert!(sched.submit(job_on(bench, tag, p), |_, _| {}));
-        }
-        let spec = suite::by_name("adpcm_encode").unwrap();
-        let taken: Vec<_> = sched
-            .pop_affine(&spec, 8)
-            .into_iter()
-            .map(|(j, _)| j.tag)
-            .collect();
-        // Takes the Normal-class matches in FIFO order; stops at the Low
-        // job even though it matches the benchmark.
-        assert_eq!(taken, ["n2", "n4"]);
-        // Everything skipped or beyond the class boundary drains in the
-        // original order.
-        assert_eq!(pop_tags(&sched), ["n1", "n3", "l1"]);
-    }
-
-    #[test]
-    fn pop_affine_respects_max_k_and_restores_the_rest() {
-        let sched = JobScheduler::new();
-        for tag in ["a", "b", "c", "d"] {
-            assert!(sched.submit(job(tag, Priority::Normal), |_, _| {}));
-        }
-        let spec = suite::by_name("adpcm_encode").unwrap();
-        let taken: Vec<_> = sched
-            .pop_affine(&spec, 2)
-            .into_iter()
-            .map(|(j, _)| j.tag)
-            .collect();
-        assert_eq!(taken, ["a", "b"]);
-        assert_eq!(pop_tags(&sched), ["c", "d"]);
-    }
-
-    #[test]
-    fn pop_affine_never_bypasses_the_aging_bound() {
-        // Mirror of `aging_bounds_how_long_a_low_job_waits`: with step
-        // 4, seven aged High jobs outrank the early Low job. An affine
-        // pop for the Low job's benchmark must come back empty — taking
-        // it would bypass the High class beyond the documented aging
-        // bound — and must leave the drain order untouched.
-        let sched = JobScheduler::with_aging_step(4);
-        assert!(sched.submit(job_on("adpcm_encode", "low", Priority::Low), |_, _| {}));
-        for i in 0..12 {
-            assert!(sched.submit(job_on("gcc", &format!("h{i}"), Priority::High), |_, _| {}));
-        }
-        let spec = suite::by_name("adpcm_encode").unwrap();
-        assert!(sched.pop_affine(&spec, 8).is_empty());
-        let tags = pop_tags(&sched);
-        let low_pos = tags.iter().position(|t| t == "low").unwrap();
-        assert_eq!(low_pos, 7, "affinity altered the aged order: {tags:?}");
-    }
-
-    #[test]
     fn claim_and_release_dedupe_in_flight_keys() {
         let sched = JobScheduler::new();
         let a = job("a", Priority::Normal);
         let b = job("b", Priority::Normal);
         let key = a.cache_key();
-        let first = sched.claim(key.as_str(), a, Box::new(|_, _| {}));
+        let first = sched.claim(key.as_str(), Vec::new(), a, Box::new(|_, _| {}));
         assert!(matches!(first, Claim::Run(..)));
-        let second = sched.claim(key.as_str(), b, Box::new(|_, _| {}));
+        let second = sched.claim(key.as_str(), Vec::new(), b, Box::new(|_, _| {}));
         assert!(matches!(second, Claim::Follower));
         let followers = sched.release(key.as_str());
         assert_eq!(followers.len(), 1);
@@ -642,11 +558,52 @@ mod tests {
         assert!(matches!(
             sched.claim(
                 key.as_str(),
+                Vec::new(),
                 job("c", Priority::Normal),
                 Box::new(|_, _| {})
             ),
             Claim::Run(..)
         ));
+    }
+
+    #[test]
+    fn claim_reserves_free_siblings_in_one_step() {
+        let sched = JobScheduler::new();
+        let short = job("short", Priority::Normal);
+        let item = short.item.clone();
+        let (k1, k2, k3) = (
+            item.cache_key(1_000),
+            item.cache_key(2_000),
+            item.cache_key(3_000),
+        );
+        // Another worker already measures the 3,000 window.
+        let other = sched.claim(
+            k3.as_str(),
+            Vec::new(),
+            Job::new(item.clone(), 3_000),
+            Box::new(|_, _| {}),
+        );
+        assert!(matches!(other, Claim::Run(..)));
+        let siblings = vec![k1.clone(), k2.clone(), k3.clone()];
+        let Claim::Run(_, _, reserved) =
+            sched.claim(k1.as_str(), siblings, short, Box::new(|_, _| {}))
+        else {
+            panic!("a free key must be claimed");
+        };
+        assert_eq!(
+            reserved,
+            std::slice::from_ref(&k2),
+            "own and held keys are not reserved"
+        );
+        // A job of the reserved key follows the reserving claimer.
+        let long = Job::new(item, 2_000).with_tag("long");
+        assert!(matches!(
+            sched.claim(k2.as_str(), vec![k1], long, Box::new(|_, _| {})),
+            Claim::Follower
+        ));
+        let followers = sched.release(k2.as_str());
+        assert_eq!(followers.len(), 1);
+        assert_eq!(followers[0].0.tag, "long");
     }
 
     #[test]

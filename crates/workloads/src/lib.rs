@@ -54,7 +54,7 @@ mod stream;
 pub mod suite;
 mod trace;
 
-pub use prepared::{flags as prepared_flags, PreparedTrace, NO_REG};
+pub use prepared::PreparedTrace;
 pub use spec::{
     AccessPattern, BenchmarkSpec, BranchModel, CodeModel, DataSegment, IlpModel, OpMix,
     PhaseOverrides, PhaseSpec, SpecError, Suite,

@@ -1,96 +1,42 @@
-//! Config-independent densification of a [`SharedTrace`].
+//! A [`SharedTrace`] with its fetch-line column precomputed.
 //!
 //! A design-space sweep replays one benchmark recording under hundreds
-//! of machine configurations. Every one of those simulations re-derives
-//! the same per-instruction facts from the `Arc<[DynInst]>` storage —
-//! the fetch-line index (`pc / line_bytes`, a 64-bit division in the
-//! fetch hot path), the branch/jump/memory classification, the packed
-//! operand registers. [`PreparedTrace`] performs that derivation once,
-//! into flat structure-of-arrays columns that a cohort of lockstep
-//! simulators indexes directly: the facts for a chunk of C instructions
-//! occupy a few contiguous cache lines that stay resident while K
-//! simulators advance over the same chunk.
+//! of machine configurations, and every one of those simulations would
+//! re-derive each instruction's I-cache line index (`pc / line_bytes`,
+//! a 64-bit division in the fetch hot path). [`PreparedTrace`] performs
+//! that derivation once, into one flat column that every simulator
+//! replaying the recording indexes directly. It is also the input a
+//! simulator can pause over and resume on
+//! (`gals_core::Simulator::run_chunk`), since a position in it is just
+//! an index.
 //!
-//! The densification is *config-independent* except for one parameter:
-//! the I-cache line size used for the fetch-line column. Line size is a
-//! [`CoreParams`] field in principle (64 bytes in every preset), so the
-//! prepared trace records the value it was built with and consumers
-//! must check [`PreparedTrace::line_bytes`] against their machine
-//! configuration before using the column (the simulator asserts it).
+//! The column depends on one machine parameter: the I-cache line size.
+//! Line size is a `CoreParams` field in principle (64 bytes in every
+//! preset), so the prepared trace records the value it was built with
+//! and consumers must check [`PreparedTrace::line_bytes`] against their
+//! machine configuration before using the column (the simulator asserts
+//! it).
 //!
-//! Cloning is two `Arc` bumps; the columns are built once and shared.
+//! Cloning is two `Arc` bumps; the column is built once and shared.
 
 use std::sync::Arc;
 
-use gals_isa::{DynInst, OpClass};
+use gals_isa::DynInst;
 
 use crate::trace::SharedTrace;
 
-/// Per-instruction classification flags (bit positions in the
-/// [`PreparedTrace::flags`] column).
-pub mod flags {
-    /// Conditional branch.
-    pub const BRANCH: u8 = 1 << 0;
-    /// Branch outcome: taken (meaningful with [`BRANCH`]).
-    pub const TAKEN: u8 = 1 << 1;
-    /// Unconditional jump/call/return.
-    pub const JUMP: u8 = 1 << 2;
-    /// Load or store.
-    pub const MEM: u8 = 1 << 3;
-    /// Store (subset of [`MEM`]).
-    pub const STORE: u8 = 1 << 4;
-    /// Floating-point operation.
-    pub const FP: u8 = 1 << 5;
-}
-
-/// Sentinel in the packed source/destination columns: no register.
-pub const NO_REG: u8 = 0xFF;
-
-/// The flat fact columns (one `Arc` allocation shared by all clones).
-#[derive(Debug)]
-struct Facts {
-    /// `pc / line_bytes` — the I-cache line index fetch crosses on.
-    fetch_line: Box<[u64]>,
-    /// Classification bits (see [`flags`]).
-    flags: Box<[u8]>,
-    /// `OpClass` index into [`OpClass::ALL`] (the latency class).
-    op: Box<[u8]>,
-    /// `mem_addr >> 3` — the 8-byte line store-to-load forwarding keys
-    /// on (zero for non-memory operations).
-    mem_line: Box<[u64]>,
-    /// Packed source registers ([`NO_REG`] = absent).
-    srcs: Box<[[u8; 2]]>,
-    /// Packed destination register ([`NO_REG`] = absent).
-    dst: Box<[u8]>,
-    /// Cumulative rolling hash over every preceding fact column entry:
-    /// `digest[i]` summarizes instructions `0..=i`. Cross-cohort
-    /// interval memoization keys snapshots on
-    /// [`PreparedTrace::prefix_digest`] so a memoized machine state is
-    /// only ever spliced onto the exact trace prefix it was simulated
-    /// over.
-    digest: Box<[u64]>,
-}
-
-/// One splitmix64 scramble round — the per-instruction mixing step of
-/// the rolling prefix digest.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A [`SharedTrace`] plus its one-time structure-of-arrays
-/// densification (see the [module docs](self)).
+/// A [`SharedTrace`] plus its precomputed fetch-line column (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
     trace: SharedTrace,
     line_bytes: u64,
-    facts: Arc<Facts>,
+    /// `pc / line_bytes` — the I-cache line index fetch crosses on.
+    fetch_line: Arc<[u64]>,
 }
 
 impl PreparedTrace {
-    /// Densifies `trace` for machines whose I-cache line size is
+    /// Prepares `trace` for machines whose I-cache line size is
     /// `line_bytes`.
     ///
     /// # Panics
@@ -98,76 +44,10 @@ impl PreparedTrace {
     /// Panics if `line_bytes` is zero.
     pub fn new(trace: &SharedTrace, line_bytes: u64) -> Self {
         assert!(line_bytes > 0, "line_bytes must be positive");
-        let insts = trace.insts();
-        let n = insts.len();
-        let mut fetch_line = Vec::with_capacity(n);
-        let mut fl = Vec::with_capacity(n);
-        let mut op = Vec::with_capacity(n);
-        let mut mem_line = Vec::with_capacity(n);
-        let mut srcs = Vec::with_capacity(n);
-        let mut dst = Vec::with_capacity(n);
-        let mut digest = Vec::with_capacity(n);
-        let mut rolling = mix(line_bytes ^ 0x9E37_79B9_7F4A_7C15);
-        for inst in insts {
-            fetch_line.push(inst.pc / line_bytes);
-            let mut f = 0u8;
-            match inst.op {
-                OpClass::Branch => {
-                    f |= flags::BRANCH;
-                    if inst.taken {
-                        f |= flags::TAKEN;
-                    }
-                }
-                OpClass::Jump => f |= flags::JUMP,
-                _ => {}
-            }
-            if inst.op.is_mem() {
-                f |= flags::MEM;
-                if inst.op == OpClass::Store {
-                    f |= flags::STORE;
-                }
-            }
-            if inst.op.is_fp() {
-                f |= flags::FP;
-            }
-            fl.push(f);
-            op.push(
-                OpClass::ALL
-                    .iter()
-                    .position(|&o| o == inst.op)
-                    .expect("every OpClass is in ALL") as u8,
-            );
-            mem_line.push(if inst.op.is_mem() {
-                inst.mem_addr >> 3
-            } else {
-                0
-            });
-            let sp = inst.srcs.map(|s| s.map(|r| r.packed()).unwrap_or(NO_REG));
-            let dp = inst.dst.map(|r| r.packed()).unwrap_or(NO_REG);
-            srcs.push(sp);
-            dst.push(dp);
-            let packed_regs = u64::from(sp[0]) | (u64::from(sp[1]) << 8) | (u64::from(dp) << 16);
-            let packed_class = u64::from(*fl.last().expect("just pushed"))
-                | (u64::from(*op.last().expect("just pushed")) << 8);
-            rolling = mix(rolling
-                ^ mix(inst.pc)
-                ^ mix(*mem_line.last().expect("just pushed"))
-                ^ (packed_regs << 32)
-                ^ (packed_class << 24));
-            digest.push(rolling);
-        }
         PreparedTrace {
             trace: trace.clone(),
             line_bytes,
-            facts: Arc::new(Facts {
-                fetch_line: fetch_line.into(),
-                flags: fl.into(),
-                op: op.into(),
-                mem_line: mem_line.into(),
-                srcs: srcs.into(),
-                dst: dst.into(),
-                digest: digest.into(),
-            }),
+            fetch_line: trace.insts().iter().map(|i| i.pc / line_bytes).collect(),
         }
     }
 
@@ -178,7 +58,7 @@ impl PreparedTrace {
 
     /// Number of prepared instructions.
     pub fn len(&self) -> usize {
-        self.facts.flags.len()
+        self.fetch_line.len()
     }
 
     /// True when the source recording was empty.
@@ -191,13 +71,7 @@ impl PreparedTrace {
         self.trace.name()
     }
 
-    /// The backing recording.
-    pub fn trace(&self) -> &SharedTrace {
-        &self.trace
-    }
-
-    /// The full dynamic instruction at index `i` (reads the shared
-    /// recording; the columns carry only the derived facts).
+    /// The full dynamic instruction at index `i`.
     #[inline]
     pub fn inst(&self, i: usize) -> DynInst {
         self.trace.insts()[i]
@@ -206,56 +80,6 @@ impl PreparedTrace {
     /// The I-cache line index instruction `i` fetches from.
     #[inline]
     pub fn fetch_line(&self, i: usize) -> u64 {
-        self.facts.fetch_line[i]
-    }
-
-    /// Classification bits for instruction `i` (see [`flags`]).
-    #[inline]
-    pub fn flags(&self, i: usize) -> u8 {
-        self.facts.flags[i]
-    }
-
-    /// The [`OpClass::ALL`] index (latency class) of instruction `i`.
-    #[inline]
-    pub fn op_index(&self, i: usize) -> u8 {
-        self.facts.op[i]
-    }
-
-    /// The 8-byte data line (`mem_addr >> 3`) of instruction `i`, or 0
-    /// for non-memory operations.
-    #[inline]
-    pub fn mem_line(&self, i: usize) -> u64 {
-        self.facts.mem_line[i]
-    }
-
-    /// Packed source registers of instruction `i` ([`NO_REG`] = none).
-    #[inline]
-    pub fn srcs_packed(&self, i: usize) -> [u8; 2] {
-        self.facts.srcs[i]
-    }
-
-    /// Packed destination register of instruction `i` ([`NO_REG`] =
-    /// none).
-    #[inline]
-    pub fn dst_packed(&self, i: usize) -> u8 {
-        self.facts.dst[i]
-    }
-
-    /// Rolling digest of the first `n` prepared instructions (0 for
-    /// `n == 0`). Two prepared traces agreeing on `prefix_digest(n)`
-    /// carry the same first `n` instructions' fact columns (up to hash
-    /// collision), so a simulator state reached over one prefix can be
-    /// memoized and spliced onto the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    #[inline]
-    pub fn prefix_digest(&self, n: usize) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.facts.digest[n - 1]
-        }
+        self.fetch_line[i]
     }
 }
