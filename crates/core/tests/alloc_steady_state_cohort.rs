@@ -1,15 +1,15 @@
-//! Steady-state allocation regression test for the cohort stepping
-//! path (`run_chunk` over a [`PreparedTrace`]).
+//! Steady-state allocation regression test for the paused-and-resumed
+//! stepping path (`run_chunk` over a [`PreparedTrace`]).
 //!
-//! The lockstep cohort runner pauses and resumes each simulator at
-//! every chunk boundary; a per-pause allocation would multiply across K
-//! members × (window / C) chunks and erase the batching win. As in
+//! The sweep engine pauses a shared run at every shorter window it
+//! answers and at every snapshot point; a per-pause allocation would
+//! multiply across every pause of every run. As in
 //! `alloc_steady_state.rs`, two runs of different lengths over the same
 //! prepared trace are compared — determinism cancels construction and
 //! warm-up, so any difference is attributable to the extra instructions
-//! *and* the extra chunk pauses, both of which must allocate nothing.
-//! This file holds a single `#[test]` because integration-test files
-//! are separate binaries: nothing else can pollute the counter.
+//! *and* the extra pauses, both of which must allocate nothing. This
+//! file holds a single `#[test]` because integration-test files are
+//! separate binaries: nothing else can pollute the counter.
 
 // The workspace avoids `unsafe` everywhere else; a `GlobalAlloc`
 // implementation is impossible without it, and this one only forwards
@@ -54,8 +54,8 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
-/// Runs `window` committed instructions through `run_chunk` in `chunk`
-/// -instruction trace slices and returns the final runtime.
+/// Runs `window` committed instructions through `run_chunk`, pausing
+/// every `chunk` commits, and returns the final runtime.
 fn run_chunked(machine: MachineConfig, prep: &PreparedTrace, window: u64, chunk: u64) -> f64 {
     let mut sim = Simulator::new(machine);
     let mut upto = 0u64;
@@ -75,8 +75,8 @@ fn zero_steady_state_heap_allocations_per_chunked_instruction() {
     const CHUNK: u64 = 512;
 
     // gcc mixes loads, stores, branches, and multi-segment data traffic
-    // (same rationale as the continuous-run variant); a 512-instruction
-    // chunk gives the long run ~40 extra pause/resume cycles over the
+    // (same rationale as the continuous-run variant); pausing every 512
+    // commits gives the long run ~40 extra pause/resume cycles over the
     // short one, so a single allocating pause would fail the assertion.
     let spec = suite::by_name("gcc").expect("benchmark in suite");
     let machine = MachineConfig::best_synchronous();
@@ -99,10 +99,10 @@ fn zero_steady_state_heap_allocations_per_chunked_instruction() {
 
     // The long run is the short run plus (LONG - WARM) steady-state
     // instructions and ~(LONG - WARM) / CHUNK extra pauses; determinism
-    // cancels everything else. The PR 7 lazily allocated cache set
-    // arrays may double a few more times on the longer run — O(log
-    // sets) events total, never per instruction or per pause (see
-    // `alloc_steady_state.rs`, whose chunked adpcm phase pins the
+    // cancels everything else. The lazily allocated cache set arrays
+    // may double a few more times on the longer run — O(log sets)
+    // events total, never per instruction or per pause (see
+    // `alloc_steady_state.rs`, whose paused adpcm phase pins the
     // absolute zero).
     let short_allocs = a1 - a0;
     let long_allocs = a2 - a1;
