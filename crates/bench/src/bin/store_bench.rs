@@ -5,7 +5,7 @@
 //! config mix over a small hot set, a long tail of cold configs,
 //! concurrent writer threads, and a catch-up reader probing the hot set
 //! while the writers run) against each WAL sync mode (`always`,
-//! `batch:N`, `none`), then simulates a crash (the final checkpoint is
+//! `batch:N`, `none`), then simulates a crash (the final compaction is
 //! skipped, exactly what `kill -9` leaves behind) and recovers.
 //!
 //! Reported per mode: put latency p50/p95/p99/p99.9 (µs), put
@@ -129,7 +129,10 @@ struct ModeOutcome {
     latencies_us: Vec<f64>,
     acknowledged: usize,
     wal_bytes_at_crash: u64,
+    /// Records replayed from the compacted base (the artifact keeps
+    /// its schema-v1 name, `checkpoint_entries`).
     checkpoint_entries: usize,
+    /// Records replayed from the sealed segment and the active log.
     replayed_records: usize,
     replay_ms: f64,
     lost_acknowledged: usize,
@@ -153,7 +156,7 @@ fn run_mode(w: &Workload, policy: SyncPolicy, dir: &PathBuf) -> ModeOutcome {
         let (stop, probes, hits) = (&stop, &probes, &hits);
         // The catch-up reader starts against an empty (or cold) store
         // and converges on the writers' hot set while they are still
-        // appending — the read path must stay correct mid-checkpoint.
+        // appending — the read path must stay correct mid-compaction.
         let reader = w.catchup_reader.then(|| {
             scope.spawn(move || {
                 let mut rng = SplitMix64::new(w.seed ^ 0x5EED_4EAD);
@@ -218,7 +221,7 @@ fn run_mode(w: &Workload, policy: SyncPolicy, dir: &PathBuf) -> ModeOutcome {
     let wal_bytes_at_crash = fs::metadata(wal_path_of(&path))
         .map(|m| m.len())
         .unwrap_or(0);
-    // Crash: leak the cache so the Drop checkpoint never runs — on-disk
+    // Crash: leak the cache so the Drop compaction never runs — on-disk
     // state is exactly what SIGKILL would leave.
     std::mem::forget(cache);
 
@@ -255,8 +258,8 @@ fn run_mode(w: &Workload, policy: SyncPolicy, dir: &PathBuf) -> ModeOutcome {
         latencies_us,
         acknowledged: acked.len(),
         wal_bytes_at_crash,
-        checkpoint_entries: report.checkpoint_entries,
-        replayed_records: report.wal_records_replayed,
+        checkpoint_entries: report.base.records,
+        replayed_records: report.sealed.records + report.log.records,
         replay_ms,
         lost_acknowledged: lost,
         reader_probes: probes.load(Ordering::Relaxed),
@@ -334,7 +337,7 @@ fn main() {
         let _ = fs::remove_dir_all(&dir);
         println!(
             "  {:<9} {:9.0} puts/s   put µs p50 {:7.2} / p95 {:7.2} / p99 {:7.2} / \
-             p99.9 {:8.2}   acked {:>6}   replay {:6.1} ms ({} ckpt + {} wal)   lost {}",
+             p99.9 {:8.2}   acked {:>6}   replay {:6.1} ms ({} base + {} log)   lost {}",
             o.policy,
             o.puts as f64 / o.wall_s,
             percentile(&o.latencies_us, 50.0),

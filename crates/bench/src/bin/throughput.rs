@@ -26,7 +26,9 @@
 //! which exits non-zero when the measured `simulator_geomean_speedup`,
 //! `simulator_min_speedup` (the per-benchmark floor — this is what
 //! pins the adpcm_encode synchronous corner, the one workload where the
-//! event-driven loop has nothing to skip), `sweep_trace_shared.speedup`,
+//! event-driven loop has nothing to skip; each benchmark's speedup is
+//! the median over five alternating fast/reference run pairs),
+//! `sweep_trace_shared.speedup`,
 //! or `sweep_batched.speedup` falls more than the tolerance (default
 //! 15%, `--tolerance 0.25` to widen) below the committed artifact, or
 //! when `cache_model_bytes_per_sim` (lower is better — resident bytes
@@ -73,11 +75,16 @@ fn machine_for(style: &str) -> MachineConfig {
     }
 }
 
-/// Best-of-`reps` wall time for one full simulation run.
-fn time_run(machine: &MachineConfig, bench: &str, window: u64, reference: bool, reps: u32) -> f64 {
+/// Fast-loop/reference-loop run pairs per simulator cell.
+const SPEEDUP_PAIRS: usize = 5;
+
+/// Times one full simulation run on each loop, alternating the two pair
+/// by pair, and returns the median fast and reference wall times and
+/// the median of the per-pair speedups. A busy moment on the host then
+/// spoils one pair, not the cell's speedup.
+fn time_pairs(machine: &MachineConfig, bench: &str, window: u64) -> (f64, f64, f64) {
     let spec = suite::by_name(bench).expect("benchmark in suite");
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
+    let time = |reference: bool| {
         let mut sim = Simulator::new(machine.clone());
         if reference {
             sim = sim.use_reference_loop();
@@ -87,9 +94,25 @@ fn time_run(machine: &MachineConfig, bench: &str, window: u64, reference: bool, 
         let r = sim.run(&mut stream, window);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(r.committed, window);
-        best = best.min(dt);
+        dt
+    };
+    let (mut fast, mut reference, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..SPEEDUP_PAIRS {
+        let (f, r) = (time(false), time(true));
+        fast.push(f);
+        reference.push(r);
+        ratios.push(r / f);
     }
-    best
+    (
+        median(&mut fast),
+        median(&mut reference),
+        median(&mut ratios),
+    )
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Post-run cache-model footprint for one style: the bytes the packed
@@ -320,17 +343,15 @@ fn main() {
     let _ = writeln!(json, "  \"sim_window\": {sim_window},");
 
     // Simulator throughput matrix.
-    eprintln!("simulator throughput ({sim_window} instructions per run):");
+    eprintln!("simulator throughput ({sim_window} instructions per run, median of {SPEEDUP_PAIRS} alternating pairs):");
     let mut speedups: Vec<f64> = Vec::new();
     json.push_str("  \"simulator\": [\n");
     for (si, style) in STYLES.iter().enumerate() {
         let machine = machine_for(style);
         for (bi, bench) in BENCHES.iter().enumerate() {
-            let fast_s = time_run(&machine, bench, sim_window, false, 2);
-            let ref_s = time_run(&machine, bench, sim_window, true, 2);
+            let (fast_s, ref_s, speedup) = time_pairs(&machine, bench, sim_window);
             let fast_mips = sim_window as f64 / fast_s / 1e6;
             let ref_mips = sim_window as f64 / ref_s / 1e6;
-            let speedup = ref_s / fast_s;
             speedups.push(speedup);
             eprintln!(
                 "  {style:>16} {bench:<14} fast {fast_mips:7.2} Minst/s   \

@@ -6,10 +6,11 @@
 //! ([`ResultCache::durable_seq`]) — i.e. for results the store claims
 //! will survive any crash. The parent test SIGKILLs this process
 //! mid-append, reopens the cache, and asserts every `ACK`ed record is
-//! still there, bit-exact. Periodic `maybe_save_batched` calls make
-//! sure some kills land mid-checkpoint, not just mid-append.
+//! still there, bit-exact. A `maybe_save_batched` after every put and a
+//! forced compaction (`save`) every `save-every` puts make sure some
+//! kills land mid-compaction, not just mid-append.
 //!
-//! Usage: `wal_torture <cache-path> <sync-policy> [checkpoint-batch]`
+//! Usage: `wal_torture <cache-path> <sync-policy> [save-every]`
 //!
 //! ACK line format (all fields space-separated, flushed per line):
 //! `ACK <seq> <value-bits> <bench> <mode> <config> <window>`.
@@ -24,14 +25,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let path = args
         .get(1)
-        .expect("usage: wal_torture <path> <policy> [batch]");
+        .expect("usage: wal_torture <path> <policy> [save-every]");
     let policy = args
         .get(2)
         .and_then(|raw| SyncPolicy::parse(raw))
         .expect("policy must be always | batch:N | none");
-    let checkpoint_batch: usize = args
+    let save_every: u64 = args
         .get(3)
-        .map(|raw| raw.parse().expect("batch must be a number"))
+        .map(|raw| raw.parse().expect("save-every must be a number"))
         .unwrap_or(500);
     let cache = ResultCache::open_with_policy(path, policy).expect("open cache");
 
@@ -68,7 +69,10 @@ fn main() {
         if flushed {
             out.flush().expect("flush acks");
         }
-        cache.maybe_save_batched(checkpoint_batch);
+        cache.maybe_save_batched(64);
+        if i % save_every == save_every - 1 {
+            cache.save().expect("compaction");
+        }
         i += 1;
     }
 }

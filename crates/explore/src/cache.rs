@@ -9,29 +9,48 @@
 //! generated strings hashed on every job pop, where SipHash's DoS
 //! resistance buys nothing.
 //!
-//! Persistence is a durable log-structured store (see [`crate::wal`]):
-//! every [`ResultCache::put`] appends one checksummed record to an
-//! append-only WAL sidecar (`<path>.wal`), and batched checkpoints
-//! rewrite the sorted flat-JSON snapshot at `<path>` via atomic
-//! tmp-file + rename, truncating the WAL only once the checkpoint is
-//! durable. Opening replays checkpoint + WAL tail, stopping cleanly at
-//! the first torn record and reporting what it recovered — a crash at
-//! any instant (including `kill -9` mid-append or mid-checkpoint) loses
-//! at most the records the sync policy had not yet acknowledged,
-//! never the store. The [`RecoveryReport`] surfaces recovered/discarded
-//! counts to callers, and every damage path warns loudly on stderr with
-//! the byte offset where trust ended.
+//! # On disk
+//!
+//! Persistence is a log-structured store of up to three files, all in
+//! the one CRC-framed record format of [`crate::wal`]:
+//!
+//! - `<path>`, the **base**: a compacted snapshot of the whole map, one
+//!   frame per entry;
+//! - `<path>.wal.old`, the **sealed** segment: the log a compaction set
+//!   aside, deleted once the base that covers it is durable;
+//! - `<path>.wal`, the **active log**: every [`ResultCache::put`]
+//!   appends one frame here.
+//!
+//! **Compaction** writes a new base from the in-memory map. It runs
+//! when the active log has grown larger than the base (so it writes at
+//! most as many bytes as fresh records have appended since the last
+//! one), at once when a storage fault has degraded the log, and on
+//! [`ResultCache::save`]. The WAL lock is held only to seal the log
+//! (sync, rename to `.wal.old`, open a fresh `.wal`); the snapshot then
+//! streams shard by shard into `<path>.tmp`, which is fsynced and
+//! renamed over `<path>` before the sealed segment is deleted. Puts
+//! continue throughout.
+//!
+//! **Recovery** ([`ResultCache::open`]) scans the base, then the sealed
+//! segment, then the active log — write order, so later records win —
+//! each up to its first torn frame. A crash at any instant (including
+//! `kill -9` mid-append or mid-compaction) loses at most the records
+//! the sync policy had not yet acknowledged, never the store. The
+//! [`RecoveryReport`] gives per-file record counts and tear offsets,
+//! and every damage path warns loudly on stderr with the byte offset
+//! where trust ended. A base in the retired flat-JSON format is
+//! reported as damage and not migrated: every entry is a deterministic,
+//! recomputable simulation result.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use gals_common::fxmap::{fx_hash_bytes, FxHashMap};
 
-use crate::json::{format_json_number, parse_flat_number_map_prefix, write_json_string};
-use crate::wal::{scan_wal, FileSink, SyncPolicy, Wal};
+use crate::wal::{encode_record, scan_wal, FileSink, SyncPolicy, Wal};
 
 /// Number of independently locked shards. A small power of two is plenty:
 /// the critical section is one map insert.
@@ -41,6 +60,10 @@ const SHARDS: usize = 16;
 /// (both hash the same key strings with the same algorithm; without a
 /// distinct seed, every key in one shard would share low hash bits).
 const SHARD_SEED: u64 = 0x5AAD_C0DE;
+
+/// The active log must also outgrow this many bytes before it is
+/// compacted, so a small cache is not rewritten after every batch.
+const COMPACT_FLOOR_BYTES: u64 = 64 * 1024;
 
 /// Key identifying one measured run: benchmark, machine style, config key,
 /// and instruction window.
@@ -53,8 +76,8 @@ impl CacheKey {
         CacheKey(format!("{bench}|{mode}|{config_key}|{window}"))
     }
 
-    /// The underlying string (stable across versions; used as the JSON
-    /// map key and the WAL record key).
+    /// The underlying string (stable across versions; used as the
+    /// record key on disk).
     pub fn as_str(&self) -> &str {
         &self.0
     }
@@ -67,68 +90,109 @@ fn shard_of(key: &str) -> usize {
     (fx_hash_bytes(SHARD_SEED, key.as_bytes()) as usize) % SHARDS
 }
 
-/// The checkpoint temp path for a cache at `path` (`<path>.tmp`).
-/// Checkpoints write here, fsync, then atomically rename over `path`.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
+/// The compaction temp path for a cache at `path` (`<path>.tmp`).
+/// Compaction writes the new base here, fsyncs, then atomically renames
+/// it over `path`.
 pub fn tmp_path_of(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
+    with_suffix(path, ".tmp")
 }
 
-/// The WAL sidecar path for a cache at `path` (`<path>.wal`).
+/// The active log of a cache at `path` (`<path>.wal`).
 pub fn wal_path_of(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".wal");
-    PathBuf::from(os)
+    with_suffix(path, ".wal")
 }
 
-/// What [`ResultCache::open`] found and salvaged: how many records came
-/// from the checkpoint and the WAL tail, and where (if anywhere) each
-/// file stopped being trustworthy. Callers that care about durability
-/// (the serve layer, the crash harness, the durability bench) read this
-/// instead of grepping stderr.
+/// The sealed log segment of a cache at `path` (`<path>.wal.old`),
+/// present only while a compaction is covering it.
+pub fn sealed_path_of(path: &Path) -> PathBuf {
+    with_suffix(path, ".wal.old")
+}
+
+/// Makes a rename or create in `path`'s directory durable. Best-effort:
+/// where a directory cannot be opened or synced, the window is the OS
+/// flush interval.
+fn sync_dir_of(path: &Path) {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// What recovery found in one of the store's files.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SegmentReport {
+    /// The file existed.
+    pub present: bool,
+    /// Records replayed from its valid prefix.
+    pub records: usize,
+    /// Byte offset of the first torn/corrupt frame (`None` when the
+    /// file ended cleanly or was absent).
+    pub torn_at: Option<u64>,
+    /// Which check that frame failed.
+    pub torn_reason: Option<&'static str>,
+    /// Bytes discarded past the tear.
+    pub discarded_bytes: u64,
+}
+
+/// What [`ResultCache::open`] found and salvaged, file by file. Callers
+/// that care about durability (the serve layer, the crash harness, the
+/// durability bench) read this instead of grepping stderr.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// Entries recovered from the checkpoint file.
-    pub checkpoint_entries: usize,
-    /// Byte offset of the first checkpoint parse failure (`None` when
-    /// the checkpoint was fully valid or absent).
-    pub checkpoint_malformed_at: Option<usize>,
-    /// Checkpoint bytes discarded past the first parse failure.
-    pub checkpoint_discarded_bytes: usize,
-    /// A stale `<path>.tmp` from an interrupted checkpoint was found
+    /// The base, `<path>`.
+    pub base: SegmentReport,
+    /// The sealed segment, `<path>.wal.old` (present only when a crash
+    /// interrupted a compaction).
+    pub sealed: SegmentReport,
+    /// The active log, `<path>.wal`.
+    pub log: SegmentReport,
+    /// A stale `<path>.tmp` from an interrupted compaction was found
     /// (and ignored — the rename never happened, so it is untrusted).
     pub stale_tmp_ignored: bool,
-    /// Records replayed from the WAL tail.
-    pub wal_records_replayed: usize,
-    /// Byte offset of the first torn/corrupt WAL frame (`None` when the
-    /// WAL ended cleanly).
-    pub wal_torn_at: Option<u64>,
-    /// Which check the first bad WAL frame failed.
-    pub wal_torn_reason: Option<&'static str>,
-    /// WAL bytes discarded past the tear.
-    pub wal_discarded_bytes: u64,
 }
 
 impl RecoveryReport {
-    /// Total records recovered (checkpoint entries + WAL replays; the
-    /// two may overlap on keys, so this counts records, not final map
-    /// size).
-    pub fn recovered_records(&self) -> usize {
-        self.checkpoint_entries + self.wal_records_replayed
-    }
-
     /// True when anything on disk was damaged or left over — i.e. the
     /// previous process did not shut down cleanly.
     pub fn had_damage(&self) -> bool {
         self.stale_tmp_ignored
-            || self.checkpoint_malformed_at.is_some()
-            || self.wal_torn_at.is_some()
+            || self.sealed.present
+            || [&self.base, &self.sealed, &self.log]
+                .iter()
+                .any(|seg| seg.torn_at.is_some())
     }
 }
 
+/// The reason [`RecoveryReport`] gives for a base in the retired
+/// flat-JSON format.
+const LEGACY_JSON: &str = "legacy JSON checkpoint";
+
+/// Steps of a compaction at which [`ResultCache::compact_and_crash`]
+/// stops (crash testing only).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// The log is sealed and a fresh one is open; no base written yet.
+    AfterRotation,
+    /// Half the snapshot is in `<path>.tmp`, ending in a torn frame.
+    MidBaseWrite,
+    /// The new base is published; the sealed segment is not yet
+    /// deleted.
+    AfterBaseRename,
+}
+
 /// A durable map from [`CacheKey`] to measured runtime in nanoseconds,
-/// backed by a flat-JSON checkpoint plus an append-only WAL.
+/// backed by a compacted base plus an append-only log, both in the
+/// record format of [`crate::wal`].
 ///
 /// The sweeps are embarrassingly cacheable: a (benchmark, config, window)
 /// runtime never changes because everything in the simulator is
@@ -142,17 +206,17 @@ impl RecoveryReport {
 pub struct ResultCache {
     path: Option<PathBuf>,
     shards: Vec<Mutex<FxHashMap<String, f64>>>,
-    /// Inserts since the last successful checkpoint (drives batched
-    /// checkpointing).
+    /// Inserts since the last successful compaction.
     unsaved: AtomicUsize,
-    /// Non-blocking guard so only one thread performs checkpoint I/O at
-    /// a time.
+    /// Size of the base on disk, which the active log must outgrow
+    /// before the next compaction.
+    base_bytes: AtomicU64,
+    /// Serializes compactions: at most one sealed segment exists.
     save_guard: Mutex<()>,
-    /// The append-only log (file-backed caches only). Lock ordering:
-    /// never taken while a shard lock is held *except* by the
-    /// checkpointer, which takes `wal` first and shards second — `put`
-    /// drops its shard guard before touching the WAL, so the two cannot
-    /// deadlock.
+    /// The append-only log (file-backed caches only). Lock order is
+    /// `save_guard`, then `wal`, then a shard: `put` drops its shard
+    /// guard before touching the log, and a compaction that snapshots
+    /// under the log lock takes the shards second.
     wal: Option<Mutex<Wal>>,
     /// Sequence source for in-memory caches (keeps `put`'s contract
     /// uniform when there is no WAL).
@@ -169,6 +233,7 @@ impl Default for ResultCache {
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             unsaved: AtomicUsize::new(0),
+            base_bytes: AtomicU64::new(0),
             save_guard: Mutex::new(()),
             wal: None,
             mem_seq: AtomicU64::new(0),
@@ -208,10 +273,11 @@ impl ResultCache {
     /// Opens (or initializes) a cache at `path`, with the sync policy
     /// from `GALS_MCD_WAL_SYNC` (default `batch:64`).
     ///
-    /// Recovery replays the checkpoint file, then the WAL tail,
-    /// stopping cleanly at the first torn/corrupt record in either;
-    /// damage is warned loudly on stderr with its byte offset and
-    /// surfaced via [`ResultCache::recovery`].
+    /// Recovery replays the base, the sealed segment and the active
+    /// log, each up to its first torn/corrupt frame; damage is warned
+    /// loudly on stderr with its byte offset and surfaced via
+    /// [`ResultCache::recovery`]. A compaction a crash interrupted, or a
+    /// damaged base, is then finished by compacting what survived.
     ///
     /// # Errors
     ///
@@ -238,94 +304,86 @@ impl ResultCache {
         let mut cache = ResultCache::default();
         let mut report = RecoveryReport::default();
 
-        // A stale temp file is an interrupted checkpoint: the rename
-        // never happened, so its contents are untrusted — the real
-        // checkpoint + WAL are authoritative.
+        // A stale temp file is an interrupted compaction: the rename
+        // never happened, so its contents are untrusted — the other
+        // files are authoritative.
         let tmp = tmp_path_of(&path);
         if tmp.exists() {
             eprintln!(
-                "warning: result cache: ignoring stale checkpoint temp file {} \
-                 (interrupted checkpoint; recovering from checkpoint + WAL instead)",
+                "warning: result cache: ignoring stale compaction temp file {} \
+                 (interrupted compaction; recovering from base + logs instead)",
                 tmp.display()
             );
             let _ = fs::remove_file(&tmp);
             report.stale_tmp_ignored = true;
         }
 
-        // Checkpoint: replay the longest valid prefix. Non-UTF-8 bytes
-        // (a torn write through a multi-byte char, or plain corruption)
-        // truncate the text at the first invalid byte and count as the
-        // parse failure offset.
-        let mut file_len = 0usize;
-        let (text, utf8_fail) = match fs::read(&path) {
-            Ok(bytes) => {
-                file_len = bytes.len();
-                match String::from_utf8(bytes) {
-                    Ok(text) => (text, None),
-                    Err(e) => {
-                        let valid = e.utf8_error().valid_up_to();
-                        let mut bytes = e.into_bytes();
-                        bytes.truncate(valid);
-                        let text = String::from_utf8(bytes).expect("valid prefix");
-                        (text, Some(valid))
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (String::new(), None),
-            Err(e) => return Err(e),
-        };
-        if file_len > 0 {
-            let (entries, parse_fail) = parse_flat_number_map_prefix(&text);
-            report.checkpoint_entries = entries.len();
-            if let Some(off) = parse_fail.or(utf8_fail) {
-                report.checkpoint_malformed_at = Some(off);
-                report.checkpoint_discarded_bytes = file_len - off;
-                eprintln!(
-                    "warning: result cache {}: malformed at byte {off}; recovered {} \
-                     entries, discarded {} trailing bytes",
-                    path.display(),
-                    entries.len(),
-                    file_len - off
-                );
-            }
-            for (k, v) in entries {
-                cache.shard(shard_of(&k)).insert(k, v);
-            }
-        }
-
-        // WAL tail: replay records appended after the last checkpoint,
-        // stopping cleanly at the first torn frame. The writer below is
-        // opened at the valid prefix length, which truncates the torn
-        // tail so new appends never land after garbage.
+        let mut last_seq = 0;
+        let (base, base_len) = cache.replay(&path, &mut last_seq)?;
+        (report.base, cache.base_bytes) = (base, AtomicU64::new(base_len));
+        (report.sealed, _) = cache.replay(&sealed_path_of(&path), &mut last_seq)?;
         let wal_file = wal_path_of(&path);
-        let wal_bytes = match fs::read(&wal_file) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let scan = scan_wal(&wal_bytes);
-        report.wal_records_replayed = scan.records.len();
-        if let (Some(off), Some(reason)) = (scan.corrupt_at, scan.corrupt_reason) {
-            report.wal_torn_at = Some(off);
-            report.wal_torn_reason = Some(reason);
-            report.wal_discarded_bytes = wal_bytes.len() as u64 - scan.valid_len;
-            eprintln!(
-                "warning: result cache WAL {}: {reason} at byte {off}; replayed {} \
-                 records, truncating {} bytes of torn tail",
-                wal_file.display(),
-                scan.records.len(),
-                report.wal_discarded_bytes
-            );
-        }
-        let last_seq = scan.records.last().map(|r| r.seq).unwrap_or(0);
-        for rec in scan.records {
-            cache.shard(shard_of(&rec.key)).insert(rec.key, rec.value);
-        }
-        let sink = FileSink::open_at(&wal_file, scan.valid_len)?;
-        cache.wal = Some(Mutex::new(Wal::new(Box::new(sink), policy, last_seq)));
+        let (log, log_len) = cache.replay(&wal_file, &mut last_seq)?;
+        report.log = log;
+        // Opening the writer at the valid prefix length truncates a torn
+        // tail, so new appends never land after garbage.
+        let sink = Box::new(FileSink::open_at(&wal_file, log_len)?);
+        cache.wal = Some(Mutex::new(Wal::new(sink, policy, last_seq, log_len)));
         cache.path = Some(path);
+        if report.sealed.present || report.base.torn_at.is_some() {
+            cache.compact(None)?;
+        }
         cache.recovery = report;
         Ok(cache)
+    }
+
+    /// Replays one of the store's files into the shards, raising
+    /// `last_seq` to its highest sequence number. Returns what it found
+    /// and the length of its valid prefix.
+    fn replay(&self, file: &Path, last_seq: &mut u64) -> io::Result<(SegmentReport, u64)> {
+        let bytes = match fs::read(file) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Ok((SegmentReport::default(), 0))
+            }
+            Err(e) => return Err(e),
+        };
+        let scan = scan_wal(&bytes);
+        let mut seg = SegmentReport {
+            present: true,
+            records: scan.records.len(),
+            ..SegmentReport::default()
+        };
+        if let (Some(off), Some(reason)) = (scan.corrupt_at, scan.corrupt_reason) {
+            seg.torn_at = Some(off);
+            seg.discarded_bytes = bytes.len() as u64 - scan.valid_len;
+            if scan.valid_len == 0 && bytes.first() == Some(&b'{') {
+                seg.torn_reason = Some(LEGACY_JSON);
+                eprintln!(
+                    "warning: result cache {}: ignoring a flat-JSON checkpoint written before \
+                     the store switched to CRC-framed segments; its {} bytes are not migrated \
+                     (every result is recomputed when next asked for)",
+                    file.display(),
+                    bytes.len()
+                );
+            } else {
+                seg.torn_reason = Some(reason);
+                eprintln!(
+                    "warning: result cache {}: {reason} at byte {off}; replayed {} records, \
+                     discarding {} bytes",
+                    file.display(),
+                    seg.records,
+                    seg.discarded_bytes
+                );
+            }
+        }
+        if let Some(rec) = scan.records.last() {
+            *last_seq = (*last_seq).max(rec.seq);
+        }
+        for rec in scan.records {
+            self.shard(shard_of(&rec.key)).insert(rec.key, rec.value);
+        }
+        Ok((seg, scan.valid_len))
     }
 
     /// What recovery found when this cache was opened (all zeroes for
@@ -353,13 +411,14 @@ impl ResultCache {
     /// number. The record is *acknowledged-durable* only once
     /// [`ResultCache::durable_seq`] reaches that sequence — immediately
     /// under `GALS_MCD_WAL_SYNC=always`, at the next batch boundary /
-    /// [`ResultCache::sync_wal`] / checkpoint otherwise.
+    /// [`ResultCache::sync_wal`] / compaction otherwise.
     pub fn put(&self, key: CacheKey, runtime_ns: f64) -> u64 {
-        // Shard map first, WAL second: the checkpointer snapshots the
-        // maps while holding the WAL lock, so every WAL record is also
-        // in memory — truncating the log after a checkpoint can never
-        // drop a record the checkpoint missed. (The shard guard is a
-        // statement temporary, released before the WAL lock is taken.)
+        // Shard map first, log second: every record of a log that
+        // compaction seals is then already in the map, so the snapshot
+        // taken after sealing covers it, and deleting the sealed
+        // segment can never drop a record the base missed. (The shard
+        // guard is a statement temporary, released before the WAL lock
+        // is taken.)
         self.shard(shard_of(&key.0))
             .insert(key.0.clone(), runtime_ns);
         self.unsaved.fetch_add(1, Ordering::Relaxed);
@@ -388,13 +447,13 @@ impl ResultCache {
     }
 
     /// Forces every appended WAL record durable (fsync) without paying
-    /// for a checkpoint.
+    /// for a compaction.
     ///
     /// # Errors
     ///
     /// Fails when the WAL is degraded by an earlier storage fault; the
     /// records are still in memory and persist at the next successful
-    /// checkpoint.
+    /// compaction.
     pub fn sync_wal(&self) -> io::Result<()> {
         match self.wal_guard() {
             Some(mut wal) => wal.sync(),
@@ -402,13 +461,16 @@ impl ResultCache {
         }
     }
 
-    /// Batched checkpointing: checkpoints when at least `batch` results
-    /// were recorded since the last checkpoint and no other thread is
-    /// already doing it. Sweep workers call this after every insert; at
-    /// most one of them pays the file-write cost per batch. (Durability
-    /// does not wait for this — `put` already appended to the WAL.)
+    /// Store upkeep after fresh results. Compacts when at least `batch`
+    /// results were recorded since the last compaction *and* the active
+    /// log has outgrown the base (and a 64 KiB floor), or at once when
+    /// the log is degraded; otherwise returns without touching the
+    /// base, so upkeep costs amortized O(1) per result whatever the
+    /// cache size. Sweep workers call this after every fresh result; at
+    /// most one of them compacts at a time. (Durability does not wait
+    /// for this — `put` already appended to the log.)
     pub fn maybe_save_batched(&self, batch: usize) {
-        if self.path.is_none() || self.unsaved.load(Ordering::Relaxed) < batch {
+        if !self.compaction_due(batch) {
             return;
         }
         let guard = match self.save_guard.try_lock() {
@@ -419,15 +481,30 @@ impl ResultCache {
             Err(TryLockError::WouldBlock) => None,
         };
         if let Some(_guard) = guard {
-            // Re-check under the guard; a concurrent save may have run.
-            if self.unsaved.load(Ordering::Relaxed) >= batch {
-                let _ = self.checkpoint();
+            // Re-check under the guard; a concurrent compaction may
+            // have run.
+            if self.compaction_due(batch) {
+                let _ = self.compact(None);
             }
         }
     }
 
-    /// Checkpoints the cache to disk if it changed since the last
-    /// checkpoint (graceful-shutdown path; also truncates the WAL).
+    fn compaction_due(&self, batch: usize) -> bool {
+        let Some(wal) = self.wal_guard() else {
+            return false;
+        };
+        wal.is_degraded()
+            || (self.unsaved.load(Ordering::Relaxed) >= batch
+                && wal.bytes()
+                    > self
+                        .base_bytes
+                        .load(Ordering::Relaxed)
+                        .max(COMPACT_FLOOR_BYTES))
+    }
+
+    /// Compacts the cache if it changed since the last compaction
+    /// (graceful-shutdown path). Afterwards `<path>` holds every result
+    /// and the active log is empty.
     ///
     /// # Errors
     ///
@@ -440,87 +517,114 @@ impl ResultCache {
             .save_guard
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        self.checkpoint()
+        self.compact(None)
     }
 
-    /// Writes the sorted snapshot durably — tmp file, fsync, atomic
-    /// rename, directory fsync — then truncates the WAL, whose records
-    /// the checkpoint now covers. A crash at any point leaves either
-    /// the old checkpoint + full WAL (before the rename lands) or the
-    /// new checkpoint (+ a WAL whose replay is idempotent, if the
-    /// truncate never ran): nothing acknowledged is ever lost.
-    fn checkpoint(&self) -> io::Result<()> {
-        let Some(path) = self.path.clone() else {
+    /// Runs a compaction up to `at` and stops there, leaving the files
+    /// as a crash at that step would. The crash suite then leaks the
+    /// cache (so `Drop` saves nothing) and recovers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    #[doc(hidden)]
+    pub fn compact_and_crash(&self, at: CrashPoint) -> io::Result<()> {
+        let _guard = self
+            .save_guard
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.compact(Some(at))
+    }
+
+    /// Writes a base that covers every record issued so far and retires
+    /// the log segments it replaces (stopping early at `crash`, for
+    /// crash tests). The caller holds `save_guard`. A crash at any point
+    /// leaves files whose replay, in order, yields every record that
+    /// was durable before it.
+    fn compact(&self, crash: Option<CrashPoint>) -> io::Result<()> {
+        let Some(path) = self.path.as_deref() else {
             return Ok(());
         };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        // Hold the WAL lock for the whole checkpoint: concurrent `put`s
-        // stall briefly (they are per-sweep-result, nowhere near the
-        // simulator hot path), the snapshot is a superset of the log,
-        // and the truncation below cannot race a fresh append.
-        let mut wal_guard = self.wal_guard();
-        // Snapshot the unsaved count *before* reading the shards:
-        // results inserted concurrently during the snapshot may or may
-        // not make this file, so their increments must survive (an
-        // extra save later is cheap; a silently unpersisted result is
-        // not). The caller holds `save_guard`, so nobody else resets
-        // the counter underneath us.
+        let (active, sealed) = (wal_path_of(path), sealed_path_of(path));
+        let mut wal = self.wal_guard().expect("a file-backed cache has a log");
+        // Read before the snapshot: results recorded during it may or
+        // may not make this base, so their increments must survive (an
+        // extra compaction later is cheap; an unpersisted result is not).
         let drained = self.unsaved.load(Ordering::Relaxed);
-        // Deterministic output: merge the shards and sort by key.
-        let mut entries: Vec<(String, f64)> = Vec::with_capacity(self.len());
-        for i in 0..SHARDS {
-            let map = self.shard(i);
-            entries.extend(map.iter().map(|(k, v)| (k.clone(), *v)));
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut text = String::with_capacity(entries.len() * 48 + 2);
-        text.push('{');
-        for (i, (k, v)) in entries.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
+        if !sealed.exists() && wal.sync().is_ok() {
+            // Seal the synced log and continue on a fresh one: the only
+            // step under the WAL lock. (Should the fresh log fail to
+            // open, appends go on into the sealed file, which recovery
+            // reads, and the next compaction takes the branch below.)
+            fs::rename(&active, &sealed)?;
+            wal.restart(Box::new(FileSink::open_at(&active, 0)?));
+            sync_dir_of(path);
+            drop(wal);
+            if crash == Some(CrashPoint::AfterRotation) {
+                return Ok(());
             }
-            write_json_string(&mut text, k);
-            text.push(':');
-            text.push_str(&format_json_number(*v));
+            self.write_base(path, crash)?;
+        } else {
+            // A degraded log, or a sealed segment a failed compaction
+            // left behind: snapshot under the lock, so the base covers
+            // every record issued so far, then restart the log empty.
+            // This is what heals a degraded log.
+            self.write_base(path, None)?;
+            wal.restart(Box::new(FileSink::open_at(&active, 0)?));
         }
-        text.push('}');
-        let tmp = tmp_path_of(&path);
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            // The rename below publishes this file as the checkpoint;
-            // its contents must be on the platter first, or a crash
-            // could leave a published-but-hollow checkpoint *and* a
-            // truncated WAL.
-            file.sync_all()?;
+        if crash.is_some() {
+            return Ok(());
         }
-        fs::rename(&tmp, &path)?;
-        // Make the rename itself durable before truncating the WAL: until
-        // the directory entry is flushed, the WAL is still the only copy.
-        // Best-effort — on platforms where a directory cannot be opened
-        // or synced, the window is the OS flush interval.
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Ok(d) = fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
-            }
-        }
-        if let Some(wal) = wal_guard.as_mut() {
-            wal.truncate_after_checkpoint()?;
+        match fs::remove_file(&sealed) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
         self.unsaved.fetch_sub(drained, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Streams a snapshot of the map into `<path>.tmp`, one shard at a
+    /// time (a shard's lock is held only while its entries are copied
+    /// out), then publishes it as the base: fsync, rename over `path`,
+    /// directory fsync.
+    fn write_base(&self, path: &Path, crash: Option<CrashPoint>) -> io::Result<()> {
+        let tmp = tmp_path_of(path);
+        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+        let mut frame = Vec::with_capacity(128);
+        let (mut seq, mut bytes) = (0u64, 0u64);
+        for i in 0..SHARDS {
+            if crash == Some(CrashPoint::MidBaseWrite) && i == SHARDS / 2 {
+                out.write_all(&frame[..frame.len() / 2])?;
+                return out.flush();
+            }
+            let mut entries: Vec<(String, f64)> =
+                self.shard(i).iter().map(|(k, v)| (k.clone(), *v)).collect();
+            // Sorted, so the same contents always make the same file.
+            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            for (key, value) in &entries {
+                seq += 1;
+                frame.clear();
+                encode_record(seq, key, *value, &mut frame);
+                out.write_all(&frame)?;
+                bytes += frame.len() as u64;
+            }
+        }
+        // The rename publishes this file, and the segments it replaces
+        // are deleted after it: its contents must be on the platter
+        // first, and so must the rename.
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        fs::rename(&tmp, path)?;
+        sync_dir_of(path);
+        self.base_bytes.store(bytes, Ordering::Relaxed);
         Ok(())
     }
 }
 
 impl Drop for ResultCache {
     fn drop(&mut self) {
-        // Best-effort final checkpoint; explicit save() reports errors.
+        // Best-effort final compaction; explicit save() reports errors.
         let _ = self.save();
     }
 }
@@ -528,6 +632,17 @@ impl Drop for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{FaultKind, FaultPlan, FaultySink, MemSink};
+
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gals-cache-test-{tag}"));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).map(|m| m.len()).unwrap_or(0)
+    }
 
     #[test]
     fn keys_are_distinct() {
@@ -552,8 +667,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("gals-cache-test");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("roundtrip");
         let path = dir.join("cache.json");
         {
             let c = ResultCache::open(&path).unwrap();
@@ -569,34 +683,49 @@ mod tests {
 
     #[test]
     fn malformed_cache_recovers_valid_prefix() {
-        let dir = std::env::temp_dir().join("gals-cache-test-bad");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("bad");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
-        fs::write(&path, "not json at all").unwrap();
+        // A flat-JSON checkpoint from before the format change is
+        // reported as damage and not migrated.
+        fs::write(&path, r#"{"a|sync|k|1":1.5,"b|sync|k|2":2.5}"#).unwrap();
         let c = ResultCache::open(&path).unwrap();
-        assert!(c.is_empty(), "no valid prefix to recover here");
-        assert_eq!(c.recovery().checkpoint_malformed_at, Some(0));
-        // A checkpoint torn mid-write keeps its complete entries.
-        let torn = r#"{"a|sync|k|1":1.5,"b|sync|k|2":2.5,"c|sy"#;
-        fs::write(&path, torn).unwrap();
-        fs::remove_file(wal_path_of(&path)).unwrap();
+        assert!(c.is_empty(), "legacy entries are recomputed, not migrated");
+        assert!(c.recovery().had_damage());
+        assert_eq!(c.recovery().base.torn_at, Some(0));
+        assert_eq!(c.recovery().base.torn_reason, Some(LEGACY_JSON));
+        for (i, v) in [1.5, 2.5, 3.5].into_iter().enumerate() {
+            c.put(CacheKey::new("b", "sync", &format!("k{i}"), 1), v);
+        }
+        drop(c);
+        // A base torn mid-frame keeps every complete frame before the
+        // tear, reports where it stopped, and is rewritten whole.
+        let mut base = fs::read(&path).unwrap();
+        base.truncate(base.len() - 5);
+        fs::write(&path, &base).unwrap();
+        let survivors = scan_wal(&base);
+        assert_eq!(survivors.records.len(), 2);
         let c = ResultCache::open(&path).unwrap();
+        let report = c.recovery().clone();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.recovery().checkpoint_entries, 2);
-        assert_eq!(
-            c.recovery().checkpoint_malformed_at,
-            Some(torn.find(r#""c|sy"#).unwrap())
-        );
-        assert!(c.recovery().checkpoint_discarded_bytes > 0);
+        assert_eq!(report.base.records, 2);
+        assert_eq!(report.base.torn_at, Some(survivors.valid_len));
+        assert_eq!(report.base.torn_reason, Some("torn record body"));
+        assert!(report.base.discarded_bytes > 0);
+        for rec in &survivors.records {
+            assert_eq!(c.shard(shard_of(&rec.key)).get(&rec.key), Some(&rec.value));
+        }
+        drop(c);
+        let c = ResultCache::open(&path).unwrap();
+        assert!(!c.recovery().had_damage(), "open rewrote the torn base");
+        assert_eq!(c.len(), 2);
         drop(c);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn float_values_round_trip_exactly() {
-        let dir = std::env::temp_dir().join("gals-cache-test-float");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("float");
         let path = dir.join("cache.json");
         let values = [
             0.1 + 0.2,
@@ -625,27 +754,39 @@ mod tests {
 
     #[test]
     fn batched_save_defers_until_threshold() {
-        let dir = std::env::temp_dir().join("gals-cache-test-batch");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("batch");
         let path = dir.join("cache.json");
-        let c = ResultCache::open(&path).unwrap();
-        c.put(CacheKey::new("b", "sync", "k0", 1), 1.0);
-        c.maybe_save_batched(8);
-        assert!(!path.exists(), "below batch threshold: no checkpoint yet");
-        for i in 1..8 {
+        let c = ResultCache::open_with_policy(&path, SyncPolicy::None).unwrap();
+        let mut i = 0;
+        let mut put = |c: &ResultCache| {
             c.put(CacheKey::new("b", "sync", &format!("k{i}"), 1), 1.0);
+            i += 1;
+        };
+        for _ in 0..8 {
+            put(&c);
         }
         c.maybe_save_batched(8);
-        assert!(path.exists(), "batch threshold reached: checkpoint written");
+        assert!(
+            !path.exists(),
+            "log below the compaction floor: no base yet"
+        );
+        while file_len(&wal_path_of(&path)) <= COMPACT_FLOOR_BYTES {
+            put(&c);
+        }
+        c.maybe_save_batched(usize::MAX);
+        assert!(!path.exists(), "fewer fresh results than the batch");
+        c.maybe_save_batched(8);
+        assert!(path.exists(), "log outgrew the floor: base written");
+        assert_eq!(file_len(&wal_path_of(&path)), 0, "and the log restarted");
+        drop(c);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn escaped_keys_survive() {
-        let dir = std::env::temp_dir().join("gals-cache-test-esc");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("esc");
         let path = dir.join("cache.json");
-        let weird = CacheKey::new("a\"b\\c", "sync", "k\tx", 3);
+        let weird = CacheKey::new("a\"b\\c", "sync", "k\tx\u{1F600}", 3);
         {
             let c = ResultCache::open(&path).unwrap();
             c.put(weird.clone(), 2.5);
@@ -658,70 +799,184 @@ mod tests {
 
     #[test]
     fn checkpoint_is_atomic_and_truncates_wal() {
-        let dir = std::env::temp_dir().join("gals-cache-test-ckpt");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("ckpt");
         let path = dir.join("cache.json");
         let c = ResultCache::open_with_policy(&path, SyncPolicy::Always).unwrap();
         for i in 0..10 {
             c.put(CacheKey::new("b", "sync", &format!("k{i}"), 1), i as f64);
         }
         assert!(
-            fs::metadata(wal_path_of(&path)).unwrap().len() > 0,
-            "puts land in the WAL before any checkpoint"
+            file_len(&wal_path_of(&path)) > 0,
+            "puts land in the log before any compaction"
         );
         c.save().unwrap();
         assert!(!tmp_path_of(&path).exists(), "tmp renamed away");
-        assert_eq!(
-            fs::metadata(wal_path_of(&path)).unwrap().len(),
-            0,
-            "durable checkpoint truncates the WAL"
-        );
-        // Reopen: all 10 come from the checkpoint, none from the WAL.
+        assert!(!sealed_path_of(&path).exists(), "sealed segment deleted");
+        assert_eq!(file_len(&wal_path_of(&path)), 0, "fresh active log");
+        // Reopen: all 10 come from the base, none from a log.
         drop(c);
         let c = ResultCache::open(&path).unwrap();
-        assert_eq!(c.recovery().checkpoint_entries, 10);
-        assert_eq!(c.recovery().wal_records_replayed, 0);
+        assert_eq!(c.recovery().base.records, 10);
+        assert_eq!(c.recovery().log.records, 0);
+        assert!(!c.recovery().sealed.present);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn puts_survive_without_any_checkpoint() {
-        // Simulate a crash before the first checkpoint: leak the cache
-        // so Drop's save() never runs, then recover from the WAL alone.
-        let dir = std::env::temp_dir().join("gals-cache-test-walonly");
-        let _ = fs::remove_dir_all(&dir);
+        // Simulate a crash before the first compaction: leak the cache
+        // so Drop's save() never runs, then recover from the log alone.
+        let dir = test_dir("walonly");
         let path = dir.join("cache.json");
         let c = ResultCache::open_with_policy(&path, SyncPolicy::Always).unwrap();
         c.put(CacheKey::new("b", "sync", "k", 9), 0.1 + 0.2);
         c.put(CacheKey::new("b", "prog", "k", 9), 1.0 / 3.0);
         assert_eq!(c.durable_seq(), 2);
         std::mem::forget(c);
-        assert!(!path.exists(), "no checkpoint was ever written");
+        assert!(!path.exists(), "no base was ever written");
         let c = ResultCache::open(&path).unwrap();
-        assert_eq!(c.recovery().wal_records_replayed, 2);
+        assert_eq!(c.recovery().log.records, 2);
         assert_eq!(c.get(&CacheKey::new("b", "sync", "k", 9)), Some(0.1 + 0.2));
         assert_eq!(c.get(&CacheKey::new("b", "prog", "k", 9)), Some(1.0 / 3.0));
+        assert_eq!(c.put(CacheKey::new("b", "sync", "k", 10), 1.0), 3);
         drop(c);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_tmp_file_is_ignored_on_open() {
-        let dir = std::env::temp_dir().join("gals-cache-test-tmp");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = test_dir("tmp");
         let path = dir.join("cache.json");
         {
             let c = ResultCache::open(&path).unwrap();
             c.put(CacheKey::new("b", "sync", "real", 1), 7.0);
             c.save().unwrap();
         }
-        // An interrupted checkpoint left a half-written temp file.
-        fs::write(tmp_path_of(&path), r#"{"b|sync|bogus|1":99"#).unwrap();
+        // An interrupted compaction left a half-written temp file.
+        let mut bogus = Vec::new();
+        encode_record(1, "b|sync|bogus|1", 99.0, &mut bogus);
+        bogus.truncate(bogus.len() - 3);
+        fs::write(tmp_path_of(&path), &bogus).unwrap();
         let c = ResultCache::open(&path).unwrap();
         assert!(c.recovery().stale_tmp_ignored);
         assert_eq!(c.get(&CacheKey::new("b", "sync", "real", 1)), Some(7.0));
         assert!(c.get(&CacheKey::new("b", "sync", "bogus", 1)).is_none());
         assert!(!tmp_path_of(&path).exists(), "stale tmp cleaned up");
+        drop(c);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn same_contents_make_the_same_base() {
+        let dir = test_dir("same");
+        let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+        for (path, rev) in [(&a, false), (&b, true)] {
+            let c = ResultCache::open_with_policy(path, SyncPolicy::None).unwrap();
+            let mut order: Vec<u64> = (0..500).collect();
+            if rev {
+                order.reverse();
+            }
+            for i in order {
+                c.put(CacheKey::new("b", "sync", &format!("k{i}"), 1), i as f64);
+            }
+            c.save().unwrap();
+        }
+        assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Store upkeep is pinned in bytes, not time: after a large base is
+    /// compacted, a batch of fresh results costs exactly its own log
+    /// frames until the log outgrows the base, and the first batch past
+    /// that point compacts.
+    #[test]
+    fn upkeep_scales_with_new_records_not_cache_size() {
+        const BATCH: usize = 256;
+        let dir = test_dir("upkeep");
+        let path = dir.join("cache.json");
+        let wal = wal_path_of(&path);
+        let c = ResultCache::open_with_policy(&path, SyncPolicy::None).unwrap();
+        let key = |i: usize| CacheKey::new("bench", "sync", &format!("cfg{i:07}"), 4000);
+        for i in 0..100_000 {
+            c.put(key(i), i as f64 * 0.5 + 0.25);
+        }
+        c.save().unwrap();
+        let base = fs::read(&path).unwrap();
+        assert_eq!(scan_wal(&base).records.len(), 100_000);
+        assert_eq!(file_len(&wal), 0);
+
+        let mut next = 100_000;
+        let mut batch = |c: &ResultCache| {
+            let mut frames = Vec::new();
+            for _ in 0..BATCH {
+                let value = next as f64 * 0.5 + 0.25;
+                let seq = c.put(key(next), value);
+                encode_record(seq, key(next).as_str(), value, &mut frames);
+                next += 1;
+            }
+            frames
+        };
+        let frames = batch(&c);
+        c.maybe_save_batched(BATCH);
+        assert_eq!(fs::read(&path).unwrap(), base, "base untouched");
+        assert_eq!(
+            fs::read(&wal).unwrap(),
+            frames,
+            "log grew by the batch's frames"
+        );
+
+        let base_len = base.len() as u64;
+        let mut logged = frames.len() as u64;
+        loop {
+            let frames = batch(&c);
+            logged += frames.len() as u64;
+            assert_eq!(file_len(&wal), logged);
+            c.maybe_save_batched(BATCH);
+            if logged > base_len {
+                break;
+            }
+            assert_eq!(
+                file_len(&path),
+                base_len,
+                "compacted before the log outgrew the base"
+            );
+            assert_eq!(file_len(&wal), logged);
+        }
+        assert_eq!(file_len(&wal), 0, "first batch past the base compacts");
+        assert!(!sealed_path_of(&path).exists());
+        let compacted = scan_wal(&fs::read(&path).unwrap());
+        assert_eq!(compacted.corrupt_at, None);
+        assert_eq!(compacted.records.len(), next);
+        drop(c);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn degraded_log_compacts_at_once() {
+        let dir = test_dir("degraded");
+        let path = dir.join("cache.json");
+        let c = ResultCache::open_with_policy(&path, SyncPolicy::Always).unwrap();
+        c.put(CacheKey::new("b", "sync", "before", 1), 1.5);
+        c.save().unwrap();
+        let base = fs::read(&path).unwrap();
+        // The log device starts rejecting writes.
+        let dead = FaultySink::new(
+            MemSink::default(),
+            FaultPlan {
+                fail_at_byte: 0,
+                kind: FaultKind::Reject,
+            },
+        );
+        c.wal_guard().unwrap().restart(Box::new(dead));
+        let seq = c.put(CacheKey::new("b", "sync", "after", 1), 2.5);
+        assert!(c.durable_seq() < seq, "a rejected append is not durable");
+        c.maybe_save_batched(usize::MAX);
+        assert_ne!(fs::read(&path).unwrap(), base, "compacted without waiting");
+        assert_eq!(c.durable_seq(), seq, "the base made it durable");
+        assert!(!c.wal_guard().unwrap().is_degraded(), "log healed");
+        std::mem::forget(c);
+        let c = ResultCache::open(&path).unwrap();
+        assert_eq!(c.get(&CacheKey::new("b", "sync", "after", 1)), Some(2.5));
         drop(c);
         let _ = fs::remove_dir_all(&dir);
     }

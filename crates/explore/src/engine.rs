@@ -149,9 +149,9 @@ impl MeasureItem {
     }
 }
 
-/// How many freshly measured results accumulate before a worker flushes
-/// the cache file (batched persistence: an interrupted sweep loses at
-/// most one batch).
+/// How many freshly measured results accumulate before a worker weighs
+/// compacting the cache file (see [`ResultCache::maybe_save_batched`];
+/// every result is already in the log, so this bounds upkeep, not loss).
 const SAVE_BATCH: usize = 256;
 
 /// Default bound on the total instructions the trace pool may hold
@@ -484,8 +484,10 @@ pub struct SweepEngine {
     memo: IntervalMemo,
     /// Keys measured by simulation (cache misses), for observability.
     simulated: AtomicU64,
-    /// Requests served straight from the cache.
-    cache_hits: AtomicU64,
+    /// Keys whose simulation yielded a runtime.
+    measured: AtomicU64,
+    /// Jobs answered with a runtime, fresh or cached.
+    answered: AtomicU64,
     /// Cache keys whose simulation panicked. Panics are model bugs and
     /// deterministic, so re-running the key would just burn a worker to
     /// reach the same panic — later jobs for these keys resolve
@@ -513,7 +515,8 @@ impl SweepEngine {
             traces: TracePool::new(pool_insts),
             memo: IntervalMemo::new(memo_snaps),
             simulated: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+            measured: AtomicU64::new(0),
+            answered: AtomicU64::new(0),
             panicked: std::sync::Mutex::new(FxHashSet::default()),
         }
     }
@@ -584,9 +587,17 @@ impl SweepEngine {
         self.simulated.load(Ordering::Relaxed)
     }
 
-    /// Measurements served from the cache since construction.
+    /// Jobs answered without a simulation of their own since
+    /// construction: every job answered with a runtime, less one per
+    /// key measured. A duplicate answered by the run already in flight
+    /// for its key counts the same as one that finds the result cached,
+    /// so the count does not depend on timing — with no expired or
+    /// panicked jobs it is jobs − [`SweepEngine::simulated_count`].
     pub fn cache_hit_count(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        let measured = self.measured.load(Ordering::Relaxed);
+        self.answered
+            .load(Ordering::Relaxed)
+            .saturating_sub(measured)
     }
 
     /// Recording requests the trace pool answered from an existing
@@ -706,7 +717,7 @@ impl SweepEngine {
                 // regeneration) fills every slot right here and never
                 // spawns a worker thread.
                 if let Some(ns) = self.cache.get(&job.cache_key()) {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.answered.fetch_add(1, Ordering::Relaxed);
                     let outcome = JobOutcome::Completed {
                         runtime_ns: ns,
                         cached: true,
@@ -808,7 +819,7 @@ impl SweepEngine {
         let key = job.cache_key();
         if let Some(outcome) = self.settled(&key) {
             if outcome.runtime_ns().is_some() {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.answered.fetch_add(1, Ordering::Relaxed);
             }
             complete(job, outcome);
             return None;
@@ -885,9 +896,9 @@ impl SweepEngine {
         sched: &JobScheduler<'env>,
     ) {
         let followers = sched.release(key.as_str());
-        if matches!(outcome, JobOutcome::Completed { cached: true, .. }) {
+        if outcome.runtime_ns().is_some() {
             let n = u64::from(own.is_some()) + followers.len() as u64;
-            self.cache_hits.fetch_add(n, Ordering::Relaxed);
+            self.answered.fetch_add(n, Ordering::Relaxed);
         }
         if let Some((job, complete)) = own {
             complete(job, outcome);
@@ -898,7 +909,8 @@ impl SweepEngine {
     }
 
     /// Records a freshly simulated `ns` (NaN = panicked) for a claimed
-    /// key and resolves it.
+    /// key and resolves it, then does the store's upkeep — after the
+    /// answer, so no waiting job pays for it.
     fn finalize<'env>(
         &self,
         key: &CacheKey,
@@ -908,8 +920,8 @@ impl SweepEngine {
     ) {
         self.simulated.fetch_add(1, Ordering::Relaxed);
         let outcome = if ns.is_finite() {
+            self.measured.fetch_add(1, Ordering::Relaxed);
             self.cache.put(key.clone(), ns);
-            self.cache.maybe_save_batched(SAVE_BATCH);
             JobOutcome::Completed {
                 runtime_ns: ns,
                 cached: false,
@@ -922,6 +934,7 @@ impl SweepEngine {
             JobOutcome::Panicked
         };
         self.resolve(key, outcome, own, sched);
+        self.cache.maybe_save_batched(SAVE_BATCH);
     }
 
     /// Step 5 of [`SweepEngine::serve_jobs`]: simulates an admitted

@@ -1,11 +1,11 @@
-//! The hand-rolled flat-JSON codec shared by the result cache and the
-//! `gals-serve` wire protocol.
+//! The hand-rolled flat-JSON codec of the `gals-serve` wire protocol
+//! and the checked-in workload definitions.
 //!
 //! Scope is deliberately tiny: one object, string keys, scalar values
 //! (string / number / boolean / null) — no nesting, no arrays. That is
-//! exactly what the cache file and the line-delimited serve protocol
-//! need, and it keeps the workspace free of external dependencies (the
-//! build environment has no registry access).
+//! exactly what the line-delimited serve protocol needs, and it keeps
+//! the workspace free of external dependencies (the build environment
+//! has no registry access).
 
 /// A scalar JSON value in a flat object.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,153 +206,6 @@ pub fn parse_flat_object(text: &str) -> Option<Vec<(String, JsonValue)>> {
     }
 }
 
-/// Parses a flat object whose values must all be numbers (the cache-file
-/// shape). `None` on any malformation or non-numeric value.
-pub fn parse_flat_number_map(text: &str) -> Option<Vec<(String, f64)>> {
-    parse_flat_object(text)?
-        .into_iter()
-        .map(|(k, v)| v.as_num().map(|n| (k, n)))
-        .collect()
-}
-
-/// Parses the longest valid prefix of a flat number map (the
-/// cache-checkpoint shape), instead of rejecting the whole text.
-///
-/// Returns the entries parsed before the first malformation plus the
-/// byte offset where parsing stopped (`None` when the whole text is a
-/// valid map). Crash recovery uses this: a checkpoint torn mid-write
-/// still yields every complete entry before the tear, and the offset
-/// feeds the loud "malformed at byte N" warning rather than silently
-/// dropping the world.
-pub fn parse_flat_number_map_prefix(text: &str) -> (Vec<(String, f64)>, Option<usize>) {
-    let mut cur = ByteCursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let mut out = Vec::new();
-    cur.skip_ws();
-    if !cur.eat(b'{') {
-        return (out, Some(cur.pos));
-    }
-    cur.skip_ws();
-    if cur.eat(b'}') {
-        cur.skip_ws();
-        let fail = (cur.pos < cur.bytes.len()).then_some(cur.pos);
-        return (out, fail);
-    }
-    loop {
-        cur.skip_ws();
-        // The entry is committed only once key, ':', value, and the
-        // following separator all parse — a torn tail never yields a
-        // half-entry with a truncated number.
-        let entry_start = cur.pos;
-        let Some(key) = cur.parse_string() else {
-            return (out, Some(entry_start));
-        };
-        cur.skip_ws();
-        if !cur.eat(b':') {
-            return (out, Some(entry_start));
-        }
-        cur.skip_ws();
-        let Some(value) = cur.parse_number() else {
-            return (out, Some(entry_start));
-        };
-        cur.skip_ws();
-        if cur.eat(b',') {
-            out.push((key, value));
-            continue;
-        }
-        if cur.eat(b'}') {
-            out.push((key, value));
-            cur.skip_ws();
-            let fail = (cur.pos < cur.bytes.len()).then_some(cur.pos);
-            return (out, fail);
-        }
-        return (out, Some(entry_start));
-    }
-}
-
-/// Byte-offset parser used by [`parse_flat_number_map_prefix`]. ASCII
-/// delimiters (`"`, `\`, `{`, …) never appear inside multi-byte UTF-8
-/// sequences, so byte-level scanning of an `&str` stays on char
-/// boundaries by construction.
-struct ByteCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl ByteCursor<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_string(&mut self) -> Option<String> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
-            s.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).ok()?);
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(s);
-                }
-                _ => {
-                    // Backslash escape.
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code = std::str::from_utf8(hex).ok()?;
-                            let v = u32::from_str_radix(code, 16).ok()?;
-                            s.push(char::from_u32(v)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Option<f64> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-}
-
 fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
     while matches!(chars.peek(), Some(' ' | '\t' | '\n' | '\r')) {
         chars.next();
@@ -436,61 +289,19 @@ mod tests {
 
     #[test]
     fn number_map_rejects_non_numbers() {
-        assert!(parse_flat_number_map(r#"{"a":1.5,"b":2.0}"#).is_some());
-        assert_eq!(parse_flat_number_map(r#"{"a":"x"}"#), None);
-    }
-
-    #[test]
-    fn prefix_parser_accepts_whole_valid_maps() {
-        let (entries, fail) = parse_flat_number_map_prefix(r#"{"a":1.5,"b|c":2.0}"#);
-        assert_eq!(fail, None);
-        assert_eq!(entries, vec![("a".into(), 1.5), ("b|c".into(), 2.0)]);
-        let (entries, fail) = parse_flat_number_map_prefix(" { } ");
-        assert_eq!((entries.len(), fail), (0, None));
-    }
-
-    #[test]
-    fn prefix_parser_recovers_entries_before_the_tear() {
-        // A checkpoint torn mid-write: complete entries survive, the
-        // half-written one is dropped, and the offset points at it.
-        let text = r#"{"a":1.5,"b":2.0,"c":3"#;
-        let (entries, fail) = parse_flat_number_map_prefix(text);
-        assert_eq!(entries, vec![("a".into(), 1.5), ("b".into(), 2.0)]);
-        assert_eq!(fail, Some(text.find(r#""c""#).unwrap()));
-    }
-
-    #[test]
-    fn prefix_parser_reports_offset_of_first_malformation() {
-        let (entries, fail) = parse_flat_number_map_prefix("not json at all");
-        assert_eq!((entries.len(), fail), (0, Some(0)));
-        let text = r#"{"a":1.0,"b":"oops","c":2.0}"#;
-        let (entries, fail) = parse_flat_number_map_prefix(text);
-        assert_eq!(entries, vec![("a".into(), 1.0)]);
-        assert_eq!(fail, Some(text.find(r#""b""#).unwrap()));
-        // Trailing garbage keeps all entries but still flags the offset.
-        let text = r#"{"a":1.0}{"b":2.0}"#;
-        let (entries, fail) = parse_flat_number_map_prefix(text);
-        assert_eq!(entries, vec![("a".into(), 1.0)]);
-        assert_eq!(fail, Some(9));
-    }
-
-    #[test]
-    fn prefix_parser_agrees_with_strict_parser_on_escapes() {
-        let mut key = String::new();
-        write_json_string(&mut key, "we|ird\"\\\tkey\u{1F600}");
-        let text = format!("{{{key}:4.25}}");
-        let strict = parse_flat_number_map(&text).expect("valid");
-        let (prefix, fail) = parse_flat_number_map_prefix(&text);
-        assert_eq!(fail, None);
-        assert_eq!(prefix, strict);
+        // Numeric fields (workload definitions) are read with `as_num`,
+        // which must refuse a string that merely looks numeric.
+        let parsed = parse_flat_object(r#"{"a":1.5,"b":"2.0"}"#).expect("valid json");
+        assert_eq!(parsed[0].1.as_num(), Some(1.5));
+        assert_eq!(parsed[1].1.as_num(), None);
     }
 
     #[test]
     fn numbers_round_trip_exactly() {
         for v in [0.1 + 0.2, 1.0 / 3.0, 4.0, f64::MIN_POSITIVE] {
             let text = format!(r#"{{"k":{}}}"#, format_json_number(v));
-            let parsed = parse_flat_number_map(&text).unwrap();
-            assert_eq!(parsed[0].1, v);
+            let parsed = parse_flat_object(&text).unwrap();
+            assert_eq!(parsed[0].1.as_num(), Some(v));
         }
     }
 }

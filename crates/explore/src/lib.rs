@@ -54,7 +54,10 @@ pub mod sched;
 pub mod wal;
 
 pub use ablation::AblationPoint;
-pub use cache::{tmp_path_of, wal_path_of, CacheKey, RecoveryReport, ResultCache};
+pub use cache::{
+    sealed_path_of, tmp_path_of, wal_path_of, CacheKey, CrashPoint, RecoveryReport, ResultCache,
+    SegmentReport,
+};
 pub use engine::{MeasureItem, SweepEngine};
 pub use explorer::{
     in_sync_winner_subset, ExploreError, Explorer, Fig6Row, PolicyOutcome, ProgramChoice,

@@ -1,12 +1,13 @@
-//! Append-only write-ahead log for the result cache.
+//! The CRC-framed record format of the result cache, and the writer
+//! of its append-only log.
 //!
 //! Every [`ResultCache::put`](crate::ResultCache::put) appends one
-//! checksummed, length-prefixed record here *before* the result is
-//! acknowledged as durable, so a crash — a `kill -9`, a power cut, a
-//! full disk — loses at most the records the configured sync policy had
-//! not yet flushed, never the whole store (the failure mode of the old
-//! whole-file rewrite, where a crash mid-`fs::write` corrupted the file
-//! and the next open silently treated it as empty).
+//! checksummed, length-prefixed record to the active log *before* the
+//! result is acknowledged as durable, so a crash — a `kill -9`, a power
+//! cut, a full disk — loses at most the records the configured sync
+//! policy had not yet flushed, never the whole store. The cache's
+//! compacted base and sealed log segment are files of the same frames,
+//! so one scanner ([`scan_wal`]) recovers all three.
 //!
 //! # Record framing
 //!
@@ -14,19 +15,19 @@
 //! [len: u32 LE]   payload length (bytes, >= 16)
 //! [crc: u32 LE]   CRC-32 (IEEE) over the payload
 //! payload:
-//!   [seq:   u64 LE]   strictly monotone sequence number
+//!   [seq:   u64 LE]   sequence number, strictly monotone within a file
 //!   [value: u64 LE]   the f64 runtime, as raw bits (exact round trip)
 //!   [key:   UTF-8]    the cache-key string (len - 16 bytes)
 //! ```
 //!
-//! Recovery ([`scan_wal`]) replays records in order and stops **at the
-//! first frame that fails any check** — torn header, implausible
-//! length, torn body, checksum mismatch, non-monotone sequence, or
-//! non-UTF-8 key. Everything before the damage is recovered;
-//! everything after it is untrusted by construction (appends are
-//! strictly sequential, so bytes past a torn frame can only be noise
-//! from the interrupted write). The writer then truncates the log to
-//! the valid prefix so later appends never land after garbage.
+//! Recovery ([`scan_wal`]) replays a file's records in order and stops
+//! **at the first frame that fails any check** — torn header,
+//! implausible length, torn body, checksum mismatch, non-monotone
+//! sequence, or non-UTF-8 key. Everything before the damage is
+//! recovered; everything after it is untrusted by construction (appends
+//! are strictly sequential, so bytes past a torn frame can only be noise
+//! from the interrupted write). The log writer then truncates the active
+//! log to the valid prefix so later appends never land after garbage.
 //!
 //! # Sync policy
 //!
@@ -207,7 +208,7 @@ pub enum SyncPolicy {
     /// fsync after every append: each acknowledged put survives any
     /// crash, at one device round trip per record.
     Always,
-    /// fsync after every N appends (and on checkpoint/shutdown): loss
+    /// fsync after every N appends (and on compaction/shutdown): loss
     /// window bounded at N-1 acknowledged-but-unsynced records.
     Batch(u64),
     /// Never fsync explicitly; the OS flushes on its own schedule.
@@ -270,8 +271,6 @@ pub trait WalSink: Send + fmt::Debug {
     fn append(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Flushes everything appended so far to durable storage.
     fn sync(&mut self) -> io::Result<()>;
-    /// Empties the sink (the WAL after a durable checkpoint).
-    fn truncate_all(&mut self) -> io::Result<()>;
 }
 
 /// A real WAL file.
@@ -306,12 +305,6 @@ impl WalSink for FileSink {
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
-
-    fn truncate_all(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_data()
-    }
 }
 
 /// An in-memory sink whose "disk" is only what was synced: the
@@ -342,12 +335,6 @@ impl WalSink for MemSink {
 
     fn sync(&mut self) -> io::Result<()> {
         self.synced_len = self.bytes.len();
-        Ok(())
-    }
-
-    fn truncate_all(&mut self) -> io::Result<()> {
-        self.bytes.clear();
-        self.synced_len = 0;
         Ok(())
     }
 }
@@ -461,13 +448,6 @@ impl<S: WalSink> WalSink for FaultySink<S> {
         }
         self.inner.sync()
     }
-
-    fn truncate_all(&mut self) -> io::Result<()> {
-        if self.tripped {
-            return Err(faulted());
-        }
-        self.inner.truncate_all()
-    }
 }
 
 /// The WAL writer: assigns sequence numbers, frames records, applies
@@ -486,25 +466,30 @@ pub struct Wal {
     synced_seq: u64,
     /// Appends since the last successful sync.
     pending: u64,
+    /// Bytes of framed records in the sink (what compaction weighs
+    /// against the base).
+    bytes: u64,
     /// Reusable frame buffer.
     buf: Vec<u8>,
     /// Set after a failed append/sync: the on-disk tail is untrusted,
     /// so further appends are skipped (they would land after garbage
-    /// and be unreadable anyway) until a checkpoint truncates the log.
+    /// and be unreadable anyway) until compaction restarts the log.
     broken: bool,
 }
 
 impl Wal {
-    /// A writer over `sink`, continuing the sequence after `last_seq`
-    /// (recovery's highest replayed sequence; everything already in the
-    /// sink is considered durable).
-    pub fn new(sink: Box<dyn WalSink>, policy: SyncPolicy, last_seq: u64) -> Wal {
+    /// A writer over `sink`, which already holds `bytes` bytes of
+    /// records, continuing the sequence after `last_seq` (recovery's
+    /// highest replayed sequence; everything already in the sink is
+    /// considered durable).
+    pub fn new(sink: Box<dyn WalSink>, policy: SyncPolicy, last_seq: u64, bytes: u64) -> Wal {
         Wal {
             sink,
             policy,
             last_seq,
             synced_seq: last_seq,
             pending: 0,
+            bytes,
             buf: Vec::with_capacity(128),
             broken: false,
         }
@@ -517,7 +502,7 @@ impl Wal {
     /// Storage errors do not panic (one bad disk must not take down a
     /// serving process whose in-memory cache is intact): the WAL goes
     /// into degraded mode with one loud stderr warning, and durability
-    /// resumes at the next successful checkpoint.
+    /// resumes at the next successful compaction.
     pub fn append(&mut self, key: &str, value: f64) -> u64 {
         self.last_seq += 1;
         let seq = self.last_seq;
@@ -530,6 +515,7 @@ impl Wal {
             self.degrade("append", &e);
             return seq;
         }
+        self.bytes += self.buf.len() as u64;
         self.pending += 1;
         match self.policy {
             SyncPolicy::Always => self.sync_now(),
@@ -552,12 +538,12 @@ impl Wal {
     fn degrade(&mut self, op: &str, e: &io::Error) {
         eprintln!(
             "warning: result-cache WAL {op} failed ({e}); durability degraded — \
-             results stay in memory and will persist at the next successful checkpoint"
+             results stay in memory and will persist at the next successful compaction"
         );
         self.broken = true;
     }
 
-    /// Forces a sync (graceful shutdown, checkpoint preamble).
+    /// Forces a sync (graceful shutdown, before the log is sealed).
     ///
     /// # Errors
     ///
@@ -574,19 +560,21 @@ impl Wal {
         Ok(())
     }
 
-    /// Empties the log after a checkpoint made every record ≤
-    /// `last_seq` durable elsewhere; heals degraded mode (the torn tail
-    /// is gone with the rest of the file).
-    ///
-    /// # Errors
-    ///
-    /// Propagates truncation failures (degraded mode persists then).
-    pub fn truncate_after_checkpoint(&mut self) -> io::Result<()> {
-        self.sink.truncate_all()?;
+    /// Continues the log on an empty `sink` once every record ≤
+    /// `last_seq` is durable elsewhere (in a synced sealed segment, or
+    /// in a compacted base); heals degraded mode (the torn tail stays
+    /// behind with the old sink).
+    pub fn restart(&mut self, sink: Box<dyn WalSink>) {
+        self.sink = sink;
         self.synced_seq = self.last_seq;
         self.pending = 0;
+        self.bytes = 0;
         self.broken = false;
-        Ok(())
+    }
+
+    /// Bytes of framed records in the current sink.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// Last assigned sequence number.
@@ -698,7 +686,7 @@ mod tests {
 
     #[test]
     fn watermark_tracks_policy() {
-        let mut wal = Wal::new(Box::new(MemSink::default()), SyncPolicy::Batch(2), 0);
+        let mut wal = Wal::new(Box::new(MemSink::default()), SyncPolicy::Batch(2), 0, 0);
         let s1 = wal.append("k1", 1.0);
         assert_eq!(s1, 1);
         assert_eq!(wal.synced_seq(), 0, "batch of 2 not reached");
@@ -752,6 +740,7 @@ mod tests {
             Box::new(FaultySink::new(MemSink::default(), plan)),
             SyncPolicy::Always,
             0,
+            0,
         );
         let mut seqs = Vec::new();
         for i in 0..32 {
@@ -775,6 +764,7 @@ mod tests {
             Box::new(FaultySink::new(MemSink::default(), plan)),
             SyncPolicy::Always,
             0,
+            0,
         );
         let mut last_good = 0;
         for i in 0..16 {
@@ -793,6 +783,9 @@ mod tests {
 
     #[test]
     fn checkpoint_truncation_heals_degraded_mode() {
+        // Compaction covers the degraded log's records in the base and
+        // restarts the log on an empty sink: appends resume there, the
+        // watermark covers everything issued, and sequences continue.
         let plan = FaultPlan {
             fail_at_byte: 40,
             kind: FaultKind::Reject,
@@ -801,19 +794,23 @@ mod tests {
             Box::new(FaultySink::new(MemSink::default(), plan)),
             SyncPolicy::Always,
             0,
+            0,
         );
         for i in 0..8 {
             wal.append(&format!("key-number-{i}"), 1.0);
         }
         assert!(wal.is_degraded());
-        // The injected fault also fails truncate: degraded persists.
-        assert!(wal.truncate_after_checkpoint().is_err());
-        assert!(wal.is_degraded());
-        // With a healthy sink, truncation heals.
-        let mut wal = Wal::new(Box::new(MemSink::default()), SyncPolicy::None, 10);
-        wal.append("k", 1.0);
-        wal.truncate_after_checkpoint().unwrap();
+        assert!(wal.synced_seq() < wal.last_seq());
+        let appended = wal.bytes();
+        assert!(
+            appended > 0 && appended <= 40,
+            "only pre-fault frames count"
+        );
+        wal.restart(Box::new(MemSink::default()));
         assert!(!wal.is_degraded());
-        assert_eq!(wal.synced_seq(), wal.last_seq());
+        assert_eq!((wal.synced_seq(), wal.bytes()), (8, 0));
+        assert_eq!(wal.append("k", 1.0), 9);
+        assert_eq!(wal.synced_seq(), 9, "appends are durable again");
+        assert!(wal.bytes() > 0);
     }
 }

@@ -1,29 +1,37 @@
 //! Crash-fault-injection suite for the durable result store.
 //!
-//! Three layers of attack, all deterministic:
+//! Four layers of attack, all deterministic:
 //!
 //! 1. **Framing codec properties** — proptest over record boundaries:
 //!    random record batches, random truncation points, random byte
-//!    flips. Replay must always yield an exact prefix of what was
-//!    written, never an invented or altered record.
+//!    flips, in memory and as a real base or active log next to an
+//!    intact other file. Replay must always yield an exact prefix of
+//!    what each file holds, never an invented or altered record.
 //! 2. **Seeded fault injection** — a `FaultySink` wrapping the real
 //!    file sink tears a write, rejects a write, or fails a sync at a
 //!    seeded byte offset while a `Wal` writer runs; then the *actual*
 //!    `ResultCache::open` recovery path replays the damaged file and
 //!    must keep every record the watermark acknowledged.
-//! 3. **Concurrent-writer durability** — N threads hammering `put` +
-//!    `maybe_save_batched` while checkpoints truncate the WAL under
-//!    them: no lost record, no interleaved/corrupt frames.
+//! 3. **Compaction crash points** — a compaction stopped after sealing
+//!    the log, mid-way through writing the base, and after publishing
+//!    the base but before deleting the sealed segment, plus a torn
+//!    sealed segment: every acknowledged record survives bit-exact,
+//!    and recovery finishes the compaction.
+//! 4. **Concurrent-writer durability** — N threads hammering `put` +
+//!    `maybe_save_batched` + `save` while compactions seal and replace
+//!    the log under them: no lost record, no interleaved/corrupt frames.
 //!
 //! The companion `kill9` test does the same audit with a real SIGKILL.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gals_explore::wal::{
     encode_record, scan_wal, FaultKind, FaultPlan, FaultySink, FileSink, SyncPolicy, Wal,
 };
-use gals_explore::{wal_path_of, CacheKey, ResultCache};
+use gals_explore::{
+    sealed_path_of, tmp_path_of, wal_path_of, CacheKey, CrashPoint, RecoveryReport, ResultCache,
+};
 use proptest::prelude::*;
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -50,22 +58,31 @@ proptest! {
 
     /// Round trip, then damage: truncate anywhere and flip a byte —
     /// replay must return an exact prefix of the written records and
-    /// flag the image as damaged whenever it dropped anything.
+    /// flag the image as damaged whenever it dropped anything. Then the
+    /// same damaged image goes on disk as the base or as the active log,
+    /// next to an intact other file: recovery keeps exactly the damaged
+    /// file's prefix and all of the other file.
     #[test]
     fn framing_replay_is_always_an_exact_prefix(
-        keys in prop::collection::vec(prop::sample::select(key_pool()), 1..16),
+        names in prop::collection::vec(prop::sample::select(key_pool()), 1..16),
         seed_value in 0.0f64..1e12,
         cut_frac in 0.0f64..1.0,
         flip in any::<bool>(),
         flip_frac in 0.0f64..1.0,
+        as_base in any::<bool>(),
     ) {
+        let keys: Vec<CacheKey> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| CacheKey::new(name, "prop", "cfg", i as u64))
+            .collect();
         let mut bytes = Vec::new();
         let mut written = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             // Values with fractional parts so bit-exactness is a real check.
             let value = seed_value / (i as f64 + 3.0) + 0.125;
-            encode_record(i as u64 + 1, key, value, &mut bytes);
-            written.push((key.clone(), value));
+            encode_record(i as u64 + 1, key.as_str(), value, &mut bytes);
+            written.push((key.as_str().to_string(), value));
         }
         let clean = scan_wal(&bytes);
         prop_assert_eq!(clean.corrupt_at, None);
@@ -90,6 +107,39 @@ proptest! {
         if scan.valid_len < damaged.len() as u64 {
             prop_assert_eq!(scan.corrupt_at, Some(scan.valid_len));
         }
+
+        let dir = test_dir("prop");
+        let path = dir.join("cache.json");
+        let others: Vec<(CacheKey, f64)> = (0..3u64)
+            .map(|i| (CacheKey::new("other", "prop", "cfg", i), i as f64 + 0.5))
+            .collect();
+        let mut other_bytes = Vec::new();
+        for (i, (key, value)) in others.iter().enumerate() {
+            encode_record(i as u64 + 1, key.as_str(), *value, &mut other_bytes);
+        }
+        let (damaged_file, other_file) = if as_base {
+            (path.clone(), wal_path_of(&path))
+        } else {
+            (wal_path_of(&path), path.clone())
+        };
+        fs::write(&damaged_file, &damaged).expect("write damaged file");
+        fs::write(&other_file, &other_bytes).expect("write intact file");
+        let cache = ResultCache::open_with_policy(&path, SyncPolicy::None).expect("recover");
+        let report = cache.recovery().clone();
+        let seg = if as_base { &report.base } else { &report.log };
+        prop_assert_eq!(seg.records, scan.records.len());
+        prop_assert_eq!(seg.torn_at, scan.corrupt_at);
+        let kept = scan.records.len();
+        for (i, (key, value)) in keys.iter().zip(&written).map(|(k, (_, v))| (k, v)).enumerate() {
+            let got = cache.get(key).map(f64::to_bits);
+            prop_assert_eq!(got, (i < kept).then_some(value.to_bits()), "record {}", i);
+        }
+        for (key, value) in &others {
+            prop_assert_eq!(cache.get(key), Some(*value));
+        }
+        prop_assert_eq!(cache.len(), kept + others.len());
+        drop(cache);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -109,7 +159,7 @@ fn fault_round(
         FileSink::open_at(&wal_file, 0).expect("create wal file"),
         plan,
     );
-    let mut wal = Wal::new(Box::new(sink), policy, 0);
+    let mut wal = Wal::new(Box::new(sink), policy, 0, 0);
     let mut appended = Vec::new();
     for i in 0..48u64 {
         let key = format!("bench{:02}|fault|cfg{i:04}|2000", i % 7);
@@ -148,7 +198,7 @@ fn injected_torn_writes_never_lose_acknowledged_records() {
             );
         }
         assert!(
-            cache.recovery().wal_records_replayed >= acked.len(),
+            cache.recovery().log.records >= acked.len(),
             "seed {seed}: replay undercounts"
         );
         drop(cache);
@@ -165,9 +215,9 @@ fn injected_sync_failures_freeze_the_watermark() {
         // Whatever was acked before the fsync fault must be recoverable;
         // the store never acknowledged anything after it.
         assert!(
-            cache.recovery().wal_records_replayed >= acked.len(),
+            cache.recovery().log.records >= acked.len(),
             "seed {seed}: lost acknowledged records ({} < {})",
-            cache.recovery().wal_records_replayed,
+            cache.recovery().log.records,
             acked.len()
         );
         drop(cache);
@@ -185,10 +235,10 @@ fn injected_rejected_writes_degrade_without_corruption() {
         // a record boundary with every acknowledged record intact.
         let report = cache.recovery().clone();
         assert_eq!(
-            report.wal_torn_at, None,
+            report.log.torn_at, None,
             "seed {seed}: reject left torn bytes"
         );
-        assert_eq!(report.wal_records_replayed, acked.len(), "seed {seed}");
+        assert_eq!(report.log.records, acked.len(), "seed {seed}");
         drop(cache);
     }
     let _ = fs::remove_dir_all(&dir);
@@ -218,16 +268,16 @@ fn torn_wal_tail_is_truncated_and_appends_continue() {
     {
         let cache = ResultCache::open(&path).expect("recover");
         let report = cache.recovery().clone();
-        assert_eq!(report.wal_records_replayed, 4, "last record torn away");
-        assert!(report.wal_torn_at.is_some(), "tear must be reported");
+        assert_eq!(report.log.records, 4, "last record torn away");
+        assert!(report.log.torn_at.is_some(), "tear must be reported");
         assert!(cache.get(&CacheKey::new("b", "sync", "k4", 1)).is_none());
         // The writer truncated to the valid prefix: new appends go to a
         // clean tail.
         cache.put(CacheKey::new("b", "sync", "k4b", 1), 99.5);
-        cache.save().expect("checkpoint");
+        cache.save().expect("compaction");
     }
     let cache = ResultCache::open(&path).expect("reopen clean");
-    assert!(!cache.recovery().had_damage(), "store healed by checkpoint");
+    assert!(!cache.recovery().had_damage(), "store healed by compaction");
     assert_eq!(cache.len(), 5);
     assert_eq!(cache.get(&CacheKey::new("b", "sync", "k4b", 1)), Some(99.5));
     drop(cache);
@@ -253,12 +303,9 @@ fn mid_file_corruption_stops_replay_at_the_damage() {
     fs::write(&wal_file, &bytes).expect("corrupt wal");
     let cache = ResultCache::open(&path).expect("recover");
     let report = cache.recovery().clone();
-    assert_eq!(
-        report.wal_records_replayed, 1,
-        "replay stops at first damage"
-    );
-    assert_eq!(report.wal_torn_at, Some(frame as u64));
-    assert!(report.wal_discarded_bytes > 0);
+    assert_eq!(report.log.records, 1, "replay stops at first damage");
+    assert_eq!(report.log.torn_at, Some(frame as u64));
+    assert!(report.log.discarded_bytes > 0);
     assert_eq!(cache.get(&CacheKey::new("b", "sync", "k0", 1)), Some(0.0));
     drop(cache);
     let _ = fs::remove_dir_all(&dir);
@@ -283,9 +330,12 @@ fn concurrent_writers_and_checkpoints_lose_nothing() {
                         let value = (w * PER_WRITER + i) as f64 + 0.5;
                         let seq = cache_ref.put(key.clone(), value);
                         log.push((seq, key, value));
-                        // Races checkpoints (tmp + rename + WAL truncate)
-                        // against the other writers' appends.
+                        // Races compactions (seal + fresh log + base
+                        // rename) against the other writers' appends.
                         cache_ref.maybe_save_batched(64);
+                        if i % 100 == 99 {
+                            cache_ref.save().expect("compaction");
+                        }
                     }
                     log
                 })
@@ -309,11 +359,11 @@ fn concurrent_writers_and_checkpoints_lose_nothing() {
     let recovered = ResultCache::open(&path).expect("recover");
     // Every record survived (all appends landed in the page cache; the
     // durability watermark is the *guaranteed* floor, and nothing at
-    // all may be lost to the checkpoint/truncate race).
+    // all may be lost to the compaction race).
     assert_eq!(
         recovered.len(),
         WRITERS * PER_WRITER,
-        "checkpoint racing appends dropped records (recovery: {:?})",
+        "compaction racing appends dropped records (recovery: {:?})",
         recovered.recovery()
     );
     for log in &logs {
@@ -327,4 +377,153 @@ fn concurrent_writers_and_checkpoints_lose_nothing() {
     }
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Builds a store with records in every place a compaction moves them —
+/// a base (first save), a log (second batch) — then runs a compaction
+/// only up to `at` and appends a third batch after it, and "crashes"
+/// (the cache is leaked, so `Drop` saves nothing). Returns the path and
+/// every acknowledged record, in put order.
+fn crash_mid_compaction(tag: &str, at: CrashPoint) -> (PathBuf, Vec<(CacheKey, f64)>) {
+    let dir = test_dir(tag);
+    let path = dir.join("cache.json");
+    let cache = ResultCache::open_with_policy(&path, SyncPolicy::Always).expect("open");
+    let mut acked = Vec::new();
+    let mut put = |i: usize| {
+        let key = CacheKey::new("bench", "compact", &format!("cfg{i:04}"), 2000);
+        let value = i as f64 * 1.25 + 0.0625;
+        let seq = cache.put(key.clone(), value);
+        assert!(
+            seq <= cache.durable_seq(),
+            "sync=always acknowledges every put"
+        );
+        acked.push((key, value));
+    };
+    for i in 0..40 {
+        put(i);
+    }
+    cache.save().expect("first base");
+    for i in 40..80 {
+        put(i);
+    }
+    cache
+        .compact_and_crash(at)
+        .expect("compaction up to the crash point");
+    for i in 80..100 {
+        put(i);
+    }
+    std::mem::forget(cache);
+    (path, acked)
+}
+
+/// Recovers `path`, asserts every record of `acked` is there bit-exact
+/// and nothing else is, and that recovery finished the compaction (a
+/// second open finds a clean store). Returns the first open's report.
+fn assert_recovers(path: &Path, acked: &[(CacheKey, f64)]) -> RecoveryReport {
+    let cache = ResultCache::open(path).expect("recover");
+    let report = cache.recovery().clone();
+    for (key, value) in acked {
+        assert_eq!(
+            cache.get(key).map(f64::to_bits),
+            Some(value.to_bits()),
+            "{key:?} lost or altered (recovery: {report:?})"
+        );
+    }
+    assert_eq!(cache.len(), acked.len(), "recovery: {report:?}");
+    assert!(report.had_damage(), "an interrupted compaction is reported");
+    drop(cache);
+    assert_recovers_clean(path, acked);
+    report
+}
+
+/// A second open after recovery: the compaction is finished and the
+/// store is clean, with exactly `acked`.
+fn assert_recovers_clean(path: &Path, acked: &[(CacheKey, f64)]) {
+    assert!(
+        !sealed_path_of(path).exists(),
+        "recovery finished the compaction"
+    );
+    let cache = ResultCache::open(path).expect("reopen");
+    assert!(!cache.recovery().had_damage(), "{:?}", cache.recovery());
+    assert_eq!(cache.len(), acked.len());
+    for (key, value) in acked {
+        assert_eq!(cache.get(key).map(f64::to_bits), Some(value.to_bits()));
+    }
+}
+
+#[test]
+fn crash_after_rotation_loses_nothing() {
+    let (path, acked) = crash_mid_compaction("rotated", CrashPoint::AfterRotation);
+    assert!(sealed_path_of(&path).exists());
+    let report = assert_recovers(&path, &acked);
+    assert_eq!(
+        (
+            report.base.records,
+            report.sealed.records,
+            report.log.records
+        ),
+        (40, 40, 20)
+    );
+    let _ = fs::remove_dir_all(path.parent().expect("test dir"));
+}
+
+#[test]
+fn crash_mid_base_write_loses_nothing() {
+    let (path, acked) = crash_mid_compaction("midbase", CrashPoint::MidBaseWrite);
+    assert!(tmp_path_of(&path).exists(), "a half-written base");
+    let report = assert_recovers(&path, &acked);
+    assert!(report.stale_tmp_ignored);
+    assert_eq!(
+        (
+            report.base.records,
+            report.sealed.records,
+            report.log.records
+        ),
+        (40, 40, 20)
+    );
+    let _ = fs::remove_dir_all(path.parent().expect("test dir"));
+}
+
+#[test]
+fn crash_after_base_rename_loses_nothing() {
+    let (path, acked) = crash_mid_compaction("renamed", CrashPoint::AfterBaseRename);
+    let report = assert_recovers(&path, &acked);
+    // The published base already covers the sealed segment it was
+    // about to delete; replaying both is idempotent.
+    assert_eq!(
+        (
+            report.base.records,
+            report.sealed.records,
+            report.log.records
+        ),
+        (80, 40, 20)
+    );
+    let _ = fs::remove_dir_all(path.parent().expect("test dir"));
+}
+
+#[test]
+fn torn_sealed_segment_keeps_its_prefix() {
+    // A crash cannot tear a sealed segment (the log is synced before it
+    // is sealed), so this is storage damage: it may cost the records
+    // from the tear on, and nothing else — not the base, not the sealed
+    // records before the tear, not the active log.
+    let (path, mut acked) = crash_mid_compaction("tornsealed", CrashPoint::AfterRotation);
+    let sealed = sealed_path_of(&path);
+    let mut bytes = fs::read(&sealed).expect("sealed segment");
+    let intact = scan_wal(&bytes);
+    bytes.truncate(bytes.len() - 5);
+    fs::write(&sealed, &bytes).expect("tear sealed segment");
+    let (lost_key, _) = acked.remove(79);
+    let cache = ResultCache::open(&path).expect("recover");
+    let report = cache.recovery().clone();
+    assert_eq!(report.sealed.records, 39);
+    assert_eq!(report.sealed.torn_reason, Some("torn record body"));
+    assert_eq!(
+        report.sealed.torn_at,
+        Some(intact.valid_len - (intact.valid_len / 40))
+    );
+    assert!(cache.get(&lost_key).is_none());
+    drop(cache);
+    assert_recovers_clean(&path, &acked);
+    let _ = fs::remove_dir_all(path.parent().expect("test dir"));
 }

@@ -13,6 +13,7 @@
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use gals_explore::{CacheKey, ResultCache};
 
@@ -33,9 +34,12 @@ fn parse_ack(line: &str) -> Option<Ack> {
     Some((seq, bits, CacheKey::new(bench, mode, cfg, window)))
 }
 
-/// Spawns the torture child, kills it after `min_acks` acknowledged
-/// records, recovers, and audits.
-fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
+/// Spawns the torture child (compacting every `save_every` puts), kills
+/// it once it has acknowledged `min_acks` records and run for at least
+/// `linger`, recovers, and audits. The longer it runs, the larger its
+/// base, and the more of its time — and of the kills — falls inside a
+/// compaction.
+fn kill9_round(policy: &str, save_every: &str, min_acks: usize, linger: Duration) {
     let tag = policy.replace(':', "-");
     let dir = std::env::temp_dir().join(format!("gals-kill9-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -45,7 +49,7 @@ fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_wal_torture"))
         .arg(&path)
         .arg(policy)
-        .arg(checkpoint_batch)
+        .arg(save_every)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -54,15 +58,18 @@ fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
 
     let mut acked: Vec<Ack> = Vec::new();
     let mut line = String::new();
-    while acked.len() < min_acks {
+    let started = Instant::now();
+    // Keep draining the pipe while lingering, so the child never blocks
+    // on a full stdout instead of working.
+    while acked.len() < min_acks || started.elapsed() < linger {
         line.clear();
         let n = reader.read_line(&mut line).expect("read child stdout");
         assert!(n > 0, "{policy}: child exited after {} acks", acked.len());
         acked.extend(parse_ack(&line));
     }
 
-    // SIGKILL mid-append: the child gets no chance to flush, sync, or
-    // checkpoint anything further.
+    // SIGKILL mid-append or mid-compaction: the child gets no chance to
+    // flush, sync, or compact anything further.
     child.kill().expect("kill -9 the child");
     // Acks already written to the pipe before the kill landed still
     // count — the store acknowledged them.
@@ -73,7 +80,7 @@ fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
     acked.extend(rest.lines().filter_map(parse_ack));
     child.wait().expect("reap child");
 
-    // Restart: recovery replays checkpoint + WAL tail.
+    // Restart: recovery replays base, sealed segment and active log.
     let cache = ResultCache::open(&path).expect("reopen after crash");
     let report = cache.recovery().clone();
 
@@ -92,13 +99,19 @@ fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
         lost.first()
     );
 
-    // Replay accounting: the child writes each key exactly once and the
-    // checkpoint truncates the WAL, so the recovered map size must equal
-    // checkpoint entries + WAL replays — nothing double-counted, nothing
-    // silently dropped.
-    assert_eq!(
-        cache.len(),
-        report.checkpoint_entries + report.wal_records_replayed,
+    // Replay accounting: the child writes each key exactly once and
+    // compacts on its own thread, so base and logs hold disjoint keys —
+    // except that a kill between publishing a base and deleting the
+    // sealed segment it covers leaves that segment's keys in both. The
+    // recovered map size must be one of those two sums: nothing
+    // double-counted, nothing silently dropped.
+    let (base, sealed, log) = (
+        report.base.records,
+        report.sealed.records,
+        report.log.records,
+    );
+    assert!(
+        cache.len() == base + sealed + log || cache.len() == base + log,
         "{policy}: replay count mismatch (recovery: {report:?})"
     );
     assert!(
@@ -112,15 +125,20 @@ fn kill9_round(policy: &str, checkpoint_batch: &str, min_acks: usize) {
 
 #[test]
 fn kill9_sync_always_loses_nothing_acknowledged() {
-    // Every put is fsynced before it is acked; the small checkpoint
-    // batch makes some kills land around a checkpoint, exercising the
-    // tmp-rename-truncate window under real crash conditions.
-    kill9_round("always", "150", 400);
+    // Every put is fsynced before it is acked; a compaction every 25
+    // puts makes a good share of the kills land mid-compaction (log
+    // sealed, base half-written or published, sealed segment not yet
+    // deleted) under real crash conditions.
+    for ms in [0, 5, 20, 60] {
+        kill9_round("always", "25", 400, Duration::from_millis(ms));
+    }
 }
 
 #[test]
 fn kill9_sync_batched_loses_nothing_acknowledged() {
     // Acks trail appends by up to 8 records; everything acked must
     // still survive.
-    kill9_round("batch:8", "150", 400);
+    for ms in [0, 5, 20, 60] {
+        kill9_round("batch:8", "25", 400, Duration::from_millis(ms));
+    }
 }

@@ -146,6 +146,31 @@ fn memo_hits_repeat_across_thread_counts_and_runs() {
 }
 
 #[test]
+fn cache_hits_repeat_across_thread_counts_and_runs() {
+    // Every third job twice more, right behind it: with several workers
+    // a duplicate may wait on the run in flight for its key or find the
+    // result already cached, and the two must count alike.
+    let mut jobs = Vec::new();
+    for (i, job) in mixed_window_jobs().into_iter().enumerate() {
+        let copies = if i % 3 == 0 { 3 } else { 1 };
+        jobs.extend(std::iter::repeat_n(job, copies));
+    }
+    let (keys, _) = distinct(&jobs);
+    let n = jobs.len() as u64;
+    for threads in [1, 2, 4] {
+        for repeat in 0..5 {
+            let engine = SweepEngine::new(ResultCache::in_memory()).with_threads(threads);
+            run(&engine, jobs.clone());
+            assert_eq!(
+                (engine.cache_hit_count(), engine.simulated_count()),
+                (n - keys, keys),
+                "{threads} workers, repeat {repeat}: hits depended on timing"
+            );
+        }
+    }
+}
+
+#[test]
 fn reserved_key_followers_resolve_exactly_once() {
     // One configuration at two windows: whichever job claims first
     // reserves the other key, so the duplicates, the expired and the

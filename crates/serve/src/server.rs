@@ -330,14 +330,14 @@ impl Server {
                 if report.had_damage() {
                     eprintln!(
                         "gals-serve: result cache {path} recovered after unclean shutdown: \
-                         {} checkpoint entries + {} WAL records replayed ({:?})",
-                        report.checkpoint_entries, report.wal_records_replayed, report
+                         {} base + {} sealed + {} log records replayed ({:?})",
+                        report.base.records, report.sealed.records, report.log.records, report
                     );
-                } else if report.wal_records_replayed > 0 {
+                } else if report.log.records > 0 {
                     eprintln!(
-                        "gals-serve: result cache {path}: replayed {} WAL records past the \
-                         last checkpoint",
-                        report.wal_records_replayed
+                        "gals-serve: result cache {path}: replayed {} log records past the \
+                         last compaction",
+                        report.log.records
                     );
                 }
                 cache
@@ -467,11 +467,11 @@ impl Server {
             for h in self.worker_handles.drain(..) {
                 let _ = h.join();
             }
-            // Final durable checkpoint; a failure here means restart
+            // Final compaction; a failure here means restart
             // will replay from the WAL instead, so warn, don't panic.
             if let Err(e) = self.inner.engine.save_cache() {
                 eprintln!(
-                    "gals-serve: final cache checkpoint failed ({e}); results remain in the WAL"
+                    "gals-serve: final cache compaction failed ({e}); results remain in the WAL"
                 );
             }
             return;
@@ -504,10 +504,10 @@ impl Server {
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
-        // Final durable checkpoint; a failure here means restart will
+        // Final compaction; a failure here means restart will
         // replay from the WAL instead, so warn, don't panic.
         if let Err(e) = self.inner.engine.save_cache() {
-            eprintln!("gals-serve: final cache checkpoint failed ({e}); results remain in the WAL");
+            eprintln!("gals-serve: final cache compaction failed ({e}); results remain in the WAL");
         }
     }
 }
