@@ -14,35 +14,33 @@
 //! high-priority requests a lower median latency than the low-priority
 //! backlog they overtake.
 //!
-//! A third phase measures connection scaling: both transports serve
-//! the same cache-hot request mix from C = 8 / 64 / 256 concurrent
+//! A third phase measures connection scaling: the server serves the
+//! same cache-hot request mix from C = 8 / 64 / 256 concurrent
 //! closed-loop connections (`gals_bench::loadgen`), reporting
 //! throughput and p50/p95/p99/p99.9 latency per point (each point the
-//! median-of-3 repeats by p99). The epoll reactor must
-//! stay clean (zero protocol errors) at every point; the
-//! thread-per-connection transport's largest clean point is recorded
-//! as its *viable* ceiling, and the reactor's tail at C_max is
-//! compared against the threads tail at that ceiling.
+//! median-of-3 repeats by p99). Every point must be clean (every
+//! request answered, zero protocol errors). The grid stops at 256:
+//! both `loadgen` and the server spend one thread per connection.
 //!
-//! Writes `BENCH_serve.json` (schema v5). Knobs:
+//! Writes `BENCH_serve.json` (schema v6). Knobs:
 //! `GALS_SERVE_BENCH_WINDOW` (instructions per run, default 3,000),
 //! `GALS_SERVE_BENCH_CLIENTS` (default 8), `GALS_SERVE_BENCH_CONNS`
 //! (connection grid, default `8,64,256`), `GALS_SERVE_BENCH_OUT`
 //! (default `BENCH_serve.json`). `--check <committed.json>` re-runs
-//! the benchmark and gates the ratio metrics (which transfer across
-//! hosts) against the committed artifact, with `--tolerance` slack
-//! (default 25%: ratios of same-host throughput runs wander more on
-//! small hosts than the simulator ratios `throughput --check` gates).
+//! the benchmark and gates the dedupe speedup (a ratio, which transfers
+//! across hosts) against the committed artifact, with `--tolerance`
+//! slack (default 25%: ratios of same-host throughput runs wander more
+//! on small hosts than the simulator ratios `throughput --check`
+//! gates).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gals_bench::extract_number;
 use gals_bench::loadgen::{percentile, run_load, LoadReport, LoadSpec};
 use gals_core::{ControlPolicy, McdConfig, Simulator, SyncConfig};
 use gals_explore::{MeasureItem, ResultCache, SweepEngine};
-use gals_serve::{
-    Client, Priority, Request, RequestKind, Response, ServeConfig, Server, Transport,
-};
+use gals_serve::{Client, Priority, Request, RequestKind, Response, ServeConfig, Server};
 use gals_workloads::suite;
 
 /// One logical unit of the mixed stream, in both its wire form and its
@@ -350,23 +348,18 @@ fn per_conn_requests(conns: usize, total: usize) -> usize {
 }
 
 /// Phase C: the same cache-hot request mix from `conn_grid`
-/// connections, pipelined `inflight` deep, against one `transport`
-/// server. The mix (16 distinct program-adaptive points) is prewarmed
-/// through the wire first, so the scaling points measure the
-/// transport — readiness handling, framing, flushing — rather than
-/// simulation throughput. Returns one report per grid point.
+/// connections, pipelined `inflight` deep, against one server. The mix
+/// (16 distinct program-adaptive points) is prewarmed through the wire
+/// first, so the scaling points measure connection handling — framing,
+/// admission, frame writes — rather than simulation throughput.
+/// Returns one report per grid point.
 fn connection_phase(
-    transport: Transport,
     conn_grid: &[usize],
     total_per_point: usize,
     inflight: usize,
     window: u64,
 ) -> Vec<(usize, LoadReport)> {
-    let server = Server::start(ServeConfig {
-        transport,
-        ..ServeConfig::default()
-    })
-    .expect("start server");
+    let server = Server::start(ServeConfig::default()).expect("start server");
     let addr = server.local_addr();
     let kinds: Vec<RequestKind> = (0..16)
         .map(|j| RequestKind::RunConfig {
@@ -405,7 +398,7 @@ fn connection_phase(
                     kinds: kinds.clone(),
                     priority: Priority::Normal,
                     deadline_ms: None,
-                    id_prefix: format!("{transport:?}{conns}r{rep}"),
+                    id_prefix: format!("c{conns}r{rep}"),
                 })
             })
             .collect();
@@ -422,26 +415,6 @@ fn connection_phase(
     }
     server.shutdown();
     out
-}
-
-/// Pulls `"key": <number>` out of flat-ish JSON text, searching after
-/// the first occurrence of `anchor` (`""` = from the top). Hand-rolled
-/// like `throughput --check`: the committed artifact is produced by
-/// this binary, so the shapes are known and no JSON dependency is
-/// needed.
-fn extract_number(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let from = if anchor.is_empty() {
-        0
-    } else {
-        text.find(anchor)? + anchor.len()
-    };
-    let rest = &text[from..];
-    let kpos = rest.find(key)? + key.len();
-    let rest = rest[kpos..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 struct Args {
@@ -505,63 +478,21 @@ fn main() {
         percentile(&lows, 99.9),
     );
 
-    // --- Phase C: connection scaling, reactor vs threads. -------------
+    // --- Phase C: connection scaling. --------------------------------
     const TOTAL_PER_POINT: usize = 8_192;
     const INFLIGHT: usize = 1;
-    let reactor_scale = connection_phase(
-        Transport::Reactor,
-        &conn_grid,
-        TOTAL_PER_POINT,
-        INFLIGHT,
-        window,
-    );
-    let threads_scale = connection_phase(
-        Transport::Threads,
-        &conn_grid,
-        TOTAL_PER_POINT,
-        INFLIGHT,
-        window,
-    );
+    let scale = connection_phase(&conn_grid, TOTAL_PER_POINT, INFLIGHT, window);
     let expected = |conns: usize| conns * per_conn_requests(conns, TOTAL_PER_POINT);
-    // The reactor must be clean at every grid point, including C_max.
-    for (conns, report) in &reactor_scale {
+    for (conns, report) in &scale {
         assert!(
             report.clean(expected(*conns)),
-            "reactor must stay clean at C={conns}: {report:?}"
+            "every grid point must be clean, C={conns} is not: {report:?}"
         );
     }
-    let protocol_errors: usize = reactor_scale
+    let protocol_errors: usize = scale
         .iter()
-        .chain(&threads_scale)
         .map(|(_, r)| r.protocol_errors + r.connect_failures)
         .sum();
-    // The threads transport's viable ceiling: its largest clean point.
-    let threads_viable = threads_scale
-        .iter()
-        .filter(|(conns, r)| r.clean(expected(*conns)))
-        .map(|(conns, _)| *conns)
-        .max()
-        .expect("threads transport must be viable at some grid point");
-    let threads_p99_at_viable = threads_scale
-        .iter()
-        .find(|(conns, _)| *conns == threads_viable)
-        .map(|(_, r)| r.percentile_ms(99.0))
-        .expect("viable point has a report");
-    let c_min = *conn_grid.first().expect("non-empty grid");
-    let c_max = *conn_grid.last().expect("non-empty grid");
-    let rps_at = |scale: &[(usize, LoadReport)], c: usize| {
-        scale
-            .iter()
-            .find(|(conns, _)| *conns == c)
-            .map(|(_, r)| r.throughput_rps())
-            .unwrap_or(f64::NAN)
-    };
-    let c8_vs_threads = rps_at(&reactor_scale, c_min) / rps_at(&threads_scale, c_min);
-    let reactor_p99_at_cmax = reactor_scale
-        .iter()
-        .find(|(conns, _)| *conns == c_max)
-        .map(|(_, r)| r.percentile_ms(99.0))
-        .expect("grid has a C_max point");
 
     println!("gals-serve scheduler benchmark");
     println!("  clients            {clients}");
@@ -579,29 +510,17 @@ fn main() {
         "  low-pri latency    p50 {low_p50:.1} / p95 {low_p95:.1} / p99 {low_p99:.1} / \
          p99.9 {low_p999:.1} ms"
     );
-    for (label, scale) in [("reactor", &reactor_scale), ("threads", &threads_scale)] {
-        for (conns, r) in scale.iter() {
-            println!(
-                "  {label:>7} C={conns:<4} {rps:8.1} req/s   p50 {p50:7.2} / p95 {p95:7.2} / \
-                 p99 {p99:7.2} / p99.9 {p999:7.2} ms   {status}",
-                rps = r.throughput_rps(),
-                p50 = r.percentile_ms(50.0),
-                p95 = r.percentile_ms(95.0),
-                p99 = r.percentile_ms(99.0),
-                p999 = r.percentile_ms(99.9),
-                status = if r.clean(expected(*conns)) {
-                    "clean"
-                } else {
-                    "DIRTY"
-                },
-            );
-        }
+    for (conns, r) in &scale {
+        println!(
+            "  C={conns:<4} {rps:8.1} req/s   p50 {p50:7.2} / p95 {p95:7.2} / \
+             p99 {p99:7.2} / p99.9 {p999:7.2} ms   clean",
+            rps = r.throughput_rps(),
+            p50 = r.percentile_ms(50.0),
+            p95 = r.percentile_ms(95.0),
+            p99 = r.percentile_ms(99.0),
+            p999 = r.percentile_ms(99.9),
+        );
     }
-    println!("  reactor/threads throughput at C={c_min}: {c8_vs_threads:.2}x");
-    println!(
-        "  reactor p99 at C={c_max}: {reactor_p99_at_cmax:.2} ms vs threads p99 at its \
-         viable C={threads_viable}: {threads_p99_at_viable:.2} ms"
-    );
     assert!(
         speedup > 1.0,
         "the shared scheduler must beat independent invocations"
@@ -611,14 +530,9 @@ fn main() {
         "under saturation, high priority must see lower median latency \
          ({high_ms:.1} ms vs {low_ms:.1} ms)"
     );
-    assert!(
-        reactor_p99_at_cmax < threads_p99_at_viable,
-        "the reactor's tail at C={c_max} ({reactor_p99_at_cmax:.2} ms) must beat the threads \
-         transport's tail at its viable C={threads_viable} ({threads_p99_at_viable:.2} ms)"
-    );
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"gals-mcd-serve-bench-v5\",\n");
+    json.push_str("{\n  \"schema\": \"gals-mcd-serve-bench-v6\",\n");
     let _ = writeln!(json, "  \"window\": {window},");
     let _ = writeln!(json, "  \"clients\": {clients},");
     let _ = writeln!(json, "  \"requests\": {total_requests},");
@@ -639,106 +553,65 @@ fn main() {
         "  \"low_priority_latency_ms\": {{\"p50\": {low_p50:.1}, \"p95\": {low_p95:.1}, \
          \"p99\": {low_p99:.1}, \"p999\": {low_p999:.1}}},"
     );
-    json.push_str("  \"reactor\": {\n");
+    json.push_str("  \"connections\": {\n");
     let grid: Vec<String> = conn_grid.iter().map(ToString::to_string).collect();
     let _ = writeln!(json, "    \"conn_grid\": [{}],", grid.join(", "));
     let _ = writeln!(json, "    \"requests_per_point\": {TOTAL_PER_POINT},");
     let _ = writeln!(json, "    \"inflight\": {INFLIGHT},");
-    for (label, scale) in [("reactor", &reactor_scale), ("threads", &threads_scale)] {
-        let _ = writeln!(json, "    \"{label}_scaling\": [");
-        for (i, (conns, r)) in scale.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "      {{\"conns\": {conns}, \"throughput_rps\": {rps:.1}, \
-                 \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}, \
-                 \"p999_ms\": {p999:.3}, \"protocol_errors\": {errs}, \"clean\": {clean}}}{comma}",
-                rps = r.throughput_rps(),
-                p50 = r.percentile_ms(50.0),
-                p95 = r.percentile_ms(95.0),
-                p99 = r.percentile_ms(99.0),
-                p999 = r.percentile_ms(99.9),
-                errs = r.protocol_errors + r.connect_failures,
-                clean = r.clean(expected(*conns)),
-                comma = if i + 1 == scale.len() { "" } else { "," },
-            );
-        }
-        json.push_str("    ],\n");
+    json.push_str("    \"scaling\": [\n");
+    for (i, (conns, r)) in scale.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"conns\": {conns}, \"throughput_rps\": {rps:.1}, \
+             \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}, \
+             \"p999_ms\": {p999:.3}, \"protocol_errors\": {errs}, \"clean\": true}}{comma}",
+            rps = r.throughput_rps(),
+            p50 = r.percentile_ms(50.0),
+            p95 = r.percentile_ms(95.0),
+            p99 = r.percentile_ms(99.0),
+            p999 = r.percentile_ms(99.9),
+            errs = r.protocol_errors + r.connect_failures,
+            comma = if i + 1 == scale.len() { "" } else { "," },
+        );
     }
-    let _ = writeln!(
-        json,
-        "    \"c{c_min}_throughput_vs_threads\": {c8_vs_threads:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"reactor_p99_at_c{c_max}_ms\": {reactor_p99_at_cmax:.3},"
-    );
-    let _ = writeln!(json, "    \"threads_largest_viable_c\": {threads_viable},");
-    let _ = writeln!(
-        json,
-        "    \"threads_p99_at_viable_ms\": {threads_p99_at_viable:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"tail_advantage\": {:.3},",
-        threads_p99_at_viable / reactor_p99_at_cmax
-    );
+    json.push_str("    ],\n");
     let _ = writeln!(json, "    \"protocol_errors\": {protocol_errors}");
     json.push_str("  },\n");
     json.push_str("  \"bit_identical_to_direct\": true\n}\n");
     std::fs::write(&out_path, &json).expect("write artifact");
     println!("  wrote {out_path}");
 
-    // Perf-smoke gate against the committed artifact: ratio metrics
-    // only (ratios of two same-host measurements transfer across
-    // machines; absolute req/s and ms do not).
+    // Perf-smoke gate against the committed artifact: the dedupe
+    // speedup only (a ratio of two same-host measurements transfers
+    // across machines; absolute req/s and ms do not).
     if let Some(path) = &args.check {
         let committed = committed.expect("snapshot taken before the run");
         let mut failed = false;
-        let checks = [
-            (
-                "speedup",
-                speedup,
-                extract_number(&committed, "", "\"speedup\""),
-            ),
-            (
-                "reactor.c_min_throughput_vs_threads",
-                c8_vs_threads,
-                extract_number(
-                    &committed,
-                    "\"reactor\"",
-                    &format!("\"c{c_min}_throughput_vs_threads\""),
-                ),
-            ),
-            (
-                "reactor.tail_advantage",
-                threads_p99_at_viable / reactor_p99_at_cmax,
-                extract_number(&committed, "\"reactor\"", "\"tail_advantage\""),
-            ),
-        ];
-        for (name, measured, committed_val) in checks {
-            let Some(want) = committed_val else {
-                eprintln!("serve-smoke: {name} missing from {path} (schema v5 required)");
+        match extract_number(&committed, "", "\"speedup\"") {
+            None => {
+                eprintln!("serve-smoke: speedup missing from {path}");
                 failed = true;
-                continue;
-            };
-            let floor = want * (1.0 - args.tolerance);
-            if measured < floor {
-                eprintln!(
-                    "serve-smoke FAIL: {name} measured {measured:.3} < floor {floor:.3} \
-                     (committed {want:.3}, tolerance {:.0}%)",
-                    args.tolerance * 100.0
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "serve-smoke ok: {name} measured {measured:.3} >= floor {floor:.3} \
-                     (committed {want:.3})"
-                );
+            }
+            Some(want) => {
+                let floor = want * (1.0 - args.tolerance);
+                if speedup < floor {
+                    eprintln!(
+                        "serve-smoke FAIL: speedup measured {speedup:.3} < floor {floor:.3} \
+                         (committed {want:.3}, tolerance {:.0}%)",
+                        args.tolerance * 100.0
+                    );
+                    failed = true;
+                } else {
+                    eprintln!(
+                        "serve-smoke ok: speedup measured {speedup:.3} >= floor {floor:.3} \
+                         (committed {want:.3})"
+                    );
+                }
             }
         }
         // Hard invariants of the committed artifact itself.
-        if extract_number(&committed, "\"reactor\"", "\"protocol_errors\"") != Some(0.0) {
-            eprintln!("serve-smoke FAIL: committed artifact records protocol errors");
+        if extract_number(&committed, "\"connections\"", "\"protocol_errors\"") != Some(0.0) {
+            eprintln!("serve-smoke FAIL: committed artifact has no clean v6 connections object");
             failed = true;
         }
         assert!(!failed, "serve-smoke gate failed against {path}");

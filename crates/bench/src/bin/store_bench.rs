@@ -30,6 +30,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use gals_bench::extract_number;
 use gals_bench::loadgen::percentile;
 use gals_common::fxmap::{FxHashMap, FxHashSet};
 use gals_common::SplitMix64;
@@ -265,21 +266,6 @@ fn run_mode(w: &Workload, policy: SyncPolicy, dir: &PathBuf) -> ModeOutcome {
         reader_probes: probes.load(Ordering::Relaxed),
         reader_hits: hits.load(Ordering::Relaxed),
     }
-}
-
-fn extract_number(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let from = if anchor.is_empty() {
-        0
-    } else {
-        text.find(anchor)? + anchor.len()
-    };
-    let rest = &text[from..];
-    let kpos = rest.find(key)? + key.len();
-    let rest = rest[kpos..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 struct Args {

@@ -47,6 +47,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gals_bench::extract_number;
 use gals_common::env::parse_env_or;
 use gals_core::{MachineConfig, McdConfig, Simulator, SyncConfig};
 use gals_explore::{in_sync_winner_subset, Explorer, Job, MeasureItem, ResultCache, SweepEngine};
@@ -247,25 +248,6 @@ fn time_batched_sweep(window: u64) -> BatchedSweep {
         memo_hits: batched.interval_memo_hits(),
         memo_stores: batched.interval_memo_stores(),
     }
-}
-
-/// Pulls `"key": <number>` out of a flat-ish JSON text, searching after
-/// the first occurrence of `anchor` (pass `""` to search from the top).
-/// Hand-rolled on purpose: the committed artifact is produced by this
-/// binary, so the shapes are known and no JSON dependency is needed.
-fn extract_number(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let from = if anchor.is_empty() {
-        0
-    } else {
-        text.find(anchor)? + anchor.len()
-    };
-    let rest = &text[from..];
-    let kpos = rest.find(key)? + key.len();
-    let rest = rest[kpos..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 struct Args {

@@ -23,6 +23,7 @@
 //! `sweep_sync` and `sweep_program_adaptive`; all measured runtimes are
 //! cached (see `gals-explore`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifacts;
@@ -66,6 +67,26 @@ pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[V
             .collect();
         println!("{}", line.trim_end());
     }
+}
+
+/// Pulls `"key": <number>` out of flat-ish JSON text, searching after
+/// the first occurrence of `anchor` (`""` = from the top). Hand-rolled
+/// on purpose: the artifacts it reads (`BENCH_*.json`) are written by
+/// this crate's binaries, so their shapes are known and no JSON
+/// dependency is needed.
+pub fn extract_number(text: &str, anchor: &str, key: &str) -> Option<f64> {
+    let from = if anchor.is_empty() {
+        0
+    } else {
+        text.find(anchor)? + anchor.len()
+    };
+    let rest = &text[from..];
+    let kpos = rest.find(key)? + key.len();
+    let rest = rest[kpos..].trim_start_matches([':', ' ']);
+    let end = rest
+        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// Renders a simple horizontal ASCII bar for figure-style output.

@@ -38,6 +38,7 @@
 //! # Ok::<(), gals_cache::CacheConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

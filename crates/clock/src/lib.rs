@@ -34,6 +34,7 @@
 //! assert!(second > first, "edges advance monotonically");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -32,6 +32,7 @@
 //! assert_eq!(period * 2, Femtos::new(1_250_000));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

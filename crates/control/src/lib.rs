@@ -49,6 +49,7 @@
 //! assert!(engine.trace().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

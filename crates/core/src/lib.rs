@@ -31,6 +31,7 @@
 //! assert!(result.runtime.as_ns() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -42,6 +42,7 @@
 //! # Ok::<(), gals_explore::ExploreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,6 +21,7 @@
 //! assert_eq!(add.dst, Some(ArchReg::int(3)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

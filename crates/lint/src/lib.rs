@@ -20,6 +20,8 @@
 //! Run it as `cargo run -p gals-lint -- --check .` (add `--json` for
 //! machine-readable output that future tooling can diff across PRs).
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod rules;
 

@@ -32,6 +32,7 @@
 //! # Ok::<(), gals_predictor::GeometryError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

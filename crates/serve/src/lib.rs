@@ -15,6 +15,11 @@
 //! flight), honors per-request deadlines with typed `expired` frames,
 //! and streams each job's `partial` frame back the moment it resolves.
 //!
+//! Each connection is served by one reader thread; workers write its
+//! frames straight to the socket. Fixed bounds on live connections,
+//! per-connection in-flight jobs, and write stalls keep one client from
+//! costing the rest more than one stall (see [`Server`]).
+//!
 //! Determinism invariant: the server builds exactly the same
 //! `(benchmark, mode, config key, window)` work items as the offline
 //! sweeps, so a result served over the wire is bit-identical to the
@@ -46,20 +51,17 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod client;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-mod reactor;
 pub mod router;
 mod server;
-#[cfg(target_os = "linux")]
-mod sys;
 
 pub use client::Client;
 pub use gals_explore::Priority;
 pub use protocol::{Request, RequestKind, Response};
 pub use router::{RoutedClient, ShardRouter, ShardedFleet};
-pub use server::{ServeConfig, Server, Transport};
+pub use server::{ServeConfig, Server};

@@ -1,6 +1,5 @@
-//! The TCP server: transport front ends (epoll reactor or
-//! thread-per-connection) over the shared job scheduler + worker pool
-//! that executes every client's work.
+//! The TCP server: one reader thread per connection over the shared
+//! job scheduler + worker pool that executes every client's work.
 //!
 //! There is no batching dispatcher and no per-window grouping: each
 //! connection expands requests into typed [`Job`]s and admits them into
@@ -10,27 +9,26 @@
 //! work — mixed windows, machine styles, policies, priorities,
 //! deadlines — interleaves freely in a single queue pass.
 //!
-//! Two transports feed that queue (selected by
-//! [`ServeConfig::transport`], default [`Transport::Reactor`] on
-//! Linux):
+//! Each connection has one reader thread, which frames request lines
+//! ([`BoundedLineReader`]), and a [`Conn`] that workers write frames
+//! to directly, under the connection's mutex. Three constants bound
+//! what one client can cost the server:
 //!
-//! * **Reactor** — one event-loop thread multiplexes every connection
-//!   over epoll (see [`crate::reactor`]): nonblocking sockets,
-//!   edge-triggered readiness, bounded per-connection outbound queues,
-//!   per-connection in-flight quotas. Scales to hundreds of mostly
-//!   idle connections without a thread per socket.
-//! * **Threads** — the original blocking model: one reader thread per
-//!   connection, blocking writes with stall timeouts. Kept as the
-//!   portable fallback (`GALS_MCD_SERVE_TRANSPORT=threads`).
-//!
-//! Both transports share the request expansion, admission, and
-//! completion paths below, so the wire contract — including the
-//! drains-or-expires shutdown guarantee — is transport-independent.
+//! * [`MAX_CONNECTIONS`] — past it a new connection gets one `error`
+//!   frame and is closed without a thread, so a connection storm is
+//!   refused rather than turned into threads;
+//! * [`CONN_INFLIGHT_LIMIT`] — jobs one connection may have admitted
+//!   but unresolved; the reader admits nothing more until completions
+//!   free quota (its socket goes unread, which backpressures the
+//!   client);
+//! * [`WRITE_STALL_LIMIT`] — a frame write that stalls this long (or
+//!   fails) marks the connection dead: its later frames are skipped,
+//!   its queued jobs cancel, and its reader severs the socket.
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,35 +39,22 @@ use gals_workloads::suite;
 
 use crate::protocol::{BoundedLineReader, LineRead, Request, RequestKind, Response, MAX_LINE_LEN};
 
-/// Poll granularity for connection readers checking the shutdown flag
-/// (threads transport).
+/// Poll granularity for connection readers checking the shutdown and
+/// dead flags (read timeout and quota wait alike).
 const READ_POLL: Duration = Duration::from_millis(100);
 
 /// How long one response write may stall on a non-reading client before
-/// that client's connection is abandoned (both transports; the reactor
-/// measures it as time-since-last-flush-progress).
-pub(crate) const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
+/// that client's connection is abandoned and severed.
+const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
 
-/// Which connection front end moves bytes for the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// One epoll event-loop thread multiplexing every connection
-    /// (Linux; the default there).
-    Reactor,
-    /// One blocking reader thread per connection (portable fallback).
-    Threads,
-}
+/// Connections served at once (twice `serve_bench`'s largest grid
+/// point); one more is refused with an `error` frame.
+const MAX_CONNECTIONS: usize = 512;
 
-impl Transport {
-    /// The platform default: the reactor on Linux, threads elsewhere.
-    pub fn default_for_target() -> Transport {
-        if cfg!(target_os = "linux") {
-            Transport::Reactor
-        } else {
-            Transport::Threads
-        }
-    }
-}
+/// Jobs one connection may have admitted but unresolved. A request
+/// larger than the whole quota still admits alone once the connection
+/// is idle: the quota bounds concurrency, not request size.
+const CONN_INFLIGHT_LIMIT: usize = 2048;
 
 /// Server configuration (bind address, parallelism, default window).
 #[derive(Debug, Clone)]
@@ -86,18 +71,6 @@ pub struct ServeConfig {
     /// `priority_level_difference × aging_step` later admissions
     /// before it runs (see [`JobScheduler`]).
     pub aging_step: u64,
-    /// Connection front end (see [`Transport`]).
-    pub transport: Transport,
-    /// Reactor backpressure bound: bytes of un-flushed response frames
-    /// one connection may queue before it is declared dead (a slow
-    /// reader must not buffer unboundedly).
-    pub max_outbound_bytes: usize,
-    /// Reactor fairness quota: jobs one connection may have admitted
-    /// but unresolved before its further requests wait (and, with its
-    /// socket unread, backpressure the client). A single request
-    /// larger than the quota still admits alone — the quota bounds
-    /// concurrency, not request size.
-    pub conn_inflight_limit: usize,
 }
 
 impl Default for ServeConfig {
@@ -108,19 +81,14 @@ impl Default for ServeConfig {
             default_window: 10_000,
             cache_path: None,
             aging_step: JobScheduler::DEFAULT_AGING_STEP,
-            transport: Transport::default_for_target(),
-            max_outbound_bytes: 4 << 20,
-            conn_inflight_limit: 2048,
         }
     }
 }
 
 impl ServeConfig {
     /// Reads `GALS_SERVE_ADDR`, `GALS_SERVE_WORKERS`,
-    /// `GALS_SERVE_WINDOW`, `GALS_SERVE_CACHE`, `GALS_SERVE_AGING`,
-    /// `GALS_MCD_SERVE_TRANSPORT` (`reactor` / `threads`),
-    /// `GALS_SERVE_MAX_OUTBOUND`, and `GALS_SERVE_CONN_INFLIGHT` over
-    /// the defaults. An *unset* `GALS_SERVE_CACHE` selects the
+    /// `GALS_SERVE_WINDOW`, `GALS_SERVE_CACHE`, and `GALS_SERVE_AGING`
+    /// over the defaults. An *unset* `GALS_SERVE_CACHE` selects the
     /// standard file (`target/gals-serve-cache.json`); an *empty* one
     /// selects in-memory-only operation.
     pub fn from_env() -> Self {
@@ -137,55 +105,44 @@ impl ServeConfig {
             Some(path) => Some(path),
             None => Some("target/gals-serve-cache.json".to_string()),
         };
-        match var("GALS_MCD_SERVE_TRANSPORT").as_deref() {
-            None => {}
-            Some("reactor") => cfg.transport = Transport::Reactor,
-            Some("threads") => cfg.transport = Transport::Threads,
-            Some(other) => eprintln!(
-                "warning: ignoring GALS_MCD_SERVE_TRANSPORT={other:?}: \
-                 expected reactor or threads; using default"
-            ),
-        }
-        cfg.max_outbound_bytes = parse_env_or("GALS_SERVE_MAX_OUTBOUND", cfg.max_outbound_bytes);
-        cfg.conn_inflight_limit = parse_env_or("GALS_SERVE_CONN_INFLIGHT", cfg.conn_inflight_limit);
         cfg
     }
 }
 
-/// Where one connection's response frames go. The worker pool resolves
-/// jobs for every connection; each transport supplies its own sink —
-/// blocking mutex-guarded writes (threads) or a bounded queue the
-/// reactor flushes (reactor). A sink never blocks the caller beyond
-/// the threads transport's bounded write stall.
-pub(crate) trait FrameSink: Send + Sync {
-    /// Queues or writes one encoded frame line (without the newline).
-    fn send_frame(&self, line: &str);
-}
-
-/// The threads transport's sink: a mutex-serialized blocking writer
-/// with the connection's dead flag.
-pub(crate) struct ThreadsSink {
+/// One client connection as the workers see it: the mutex-serialized
+/// blocking writer its frames go through, its dead flag, and the
+/// in-flight quota its reader waits on.
+struct Conn {
     writer: Mutex<TcpStream>,
-    /// Shared per connection and set on the first failed frame write
-    /// (client stalled past `WRITE_STALL_LIMIT` or hung up): every
-    /// later frame to that connection — across all its pipelined
-    /// requests — is skipped, so one dead connection costs the worker
-    /// pool at most one write-stall total.
+    /// Set on the first failed frame write (client stalled past
+    /// [`WRITE_STALL_LIMIT`] or hung up). Every later frame to the
+    /// connection is skipped, so one dead connection costs the worker
+    /// pool at most one write stall in total; the flag doubles as the
+    /// cancellation token of the connection's queued jobs, and the
+    /// reader severs the socket when it sees it.
     dead: Arc<AtomicBool>,
+    /// Admitted-but-unresolved jobs, bounded by [`CONN_INFLIGHT_LIMIT`].
+    inflight: Mutex<usize>,
+    /// Signalled whenever a job resolves and frees quota.
+    freed: Condvar,
 }
 
-impl FrameSink for ThreadsSink {
-    /// Writes one frame unless the connection is already dead,
+impl Conn {
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Relaxed)
+    }
+
+    /// Writes one frame line unless the connection is already dead,
     /// poisoning it on the first failure. The flag is re-checked
     /// *after* acquiring the writer lock: workers already queued on the
     /// mutex behind the one discovering the stall must bail out
     /// immediately instead of each paying `WRITE_STALL_LIMIT` in turn.
     fn send_frame(&self, line: &str) {
-        if self.dead.load(Ordering::Relaxed) {
+        if self.is_dead() {
             return;
         }
         let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.dead.load(Ordering::Relaxed) {
+        if self.is_dead() {
             return;
         }
         let ok = guard.write_all(line.as_bytes()).is_ok()
@@ -195,6 +152,35 @@ impl FrameSink for ThreadsSink {
             self.dead.store(true, Ordering::Relaxed);
         }
     }
+
+    fn inflight(&self) -> MutexGuard<'_, usize> {
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until `n` more jobs fit the connection's quota, then
+    /// reserves them. Returns `false`, reserving nothing, if the server
+    /// begins shutting down or the connection dies while waiting.
+    fn reserve(&self, n: usize, shutdown: &AtomicBool) -> bool {
+        let mut inflight = self.inflight();
+        while *inflight > 0 && *inflight + n > CONN_INFLIGHT_LIMIT {
+            if shutdown.load(Ordering::SeqCst) || self.is_dead() {
+                return false;
+            }
+            inflight = self
+                .freed
+                .wait_timeout(inflight, READ_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        *inflight += n;
+        true
+    }
+
+    /// Returns `n` jobs' worth of quota and wakes a waiting reader.
+    fn release(&self, n: usize) {
+        *self.inflight() -= n;
+        self.freed.notify_one();
+    }
 }
 
 /// Per-request progress: counts the request's jobs down to the `done`
@@ -202,19 +188,15 @@ impl FrameSink for ThreadsSink {
 /// the tallies, and whoever resolves the last job emits `done`.
 struct RequestState {
     id: String,
-    sink: Arc<dyn FrameSink>,
+    conn: Arc<Conn>,
     remaining: AtomicUsize,
     results: AtomicU64,
     expired: AtomicU64,
-    /// The owning connection's dead flag (shared with its jobs as the
-    /// cancellation token; see [`ThreadsSink::dead`] for the threads
-    /// transport's write-failure semantics).
-    dead: Arc<AtomicBool>,
 }
 
 impl RequestState {
     /// Records one job's outcome: sends its frame, and the `done`
-    /// frame after the request's last job.
+    /// frame after the request's last job, then frees the job's quota.
     fn complete_one(&self, key: &str, outcome: JobOutcome, inner: &Inner) {
         let frame = match outcome {
             JobOutcome::Completed { runtime_ns, cached } => {
@@ -242,7 +224,7 @@ impl RequestState {
                 // Keep the operator-facing signals honest: a job that
                 // expired because its connection died is disconnect
                 // churn, not deadline pressure.
-                if self.dead.load(Ordering::Relaxed) {
+                if self.conn.is_dead() {
                     inner.cancelled.fetch_add(1, Ordering::Relaxed);
                 } else {
                     inner.expired.fetch_add(1, Ordering::Relaxed);
@@ -253,57 +235,60 @@ impl RequestState {
                 }
             }
         };
-        self.sink.send_frame(&frame.to_line());
+        self.conn.send_frame(&frame.to_line());
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let done = Response::Done {
                 id: self.id.clone(),
                 results: self.results.load(Ordering::Relaxed),
                 expired: self.expired.load(Ordering::Relaxed),
             };
-            self.sink.send_frame(&done.to_line());
+            self.conn.send_frame(&done.to_line());
         }
+        self.conn.release(1);
     }
 }
 
 /// Shared server state.
-pub(crate) struct Inner {
-    pub(crate) engine: SweepEngine,
-    pub(crate) sched: JobScheduler<'static>,
-    pub(crate) default_window: u64,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) requests: AtomicU64,
-    pub(crate) admitted_jobs: AtomicU64,
-    pub(crate) expired: AtomicU64,
+struct Inner {
+    engine: SweepEngine,
+    sched: JobScheduler<'static>,
+    default_window: u64,
+    shutdown: AtomicBool,
+    requests: AtomicU64,
+    admitted_jobs: AtomicU64,
+    expired: AtomicU64,
     /// Jobs dropped because their connection died (distinct from
     /// deadline expiries).
-    pub(crate) cancelled: AtomicU64,
+    cancelled: AtomicU64,
 }
 
 /// The `gals-serve` server: a long-lived, multi-tenant front end over
 /// the job scheduler and the sweep engine's sharded result cache.
 ///
-/// Concurrency model: a transport front end (epoll reactor or
-/// per-connection reader threads) parses request lines, expands them
-/// into jobs tagged with the request id, and admits them — atomically
-/// per request — into the single shared [`JobScheduler`]. Worker
-/// threads pull jobs in priority/aging order regardless of which
-/// connection admitted them and stream `partial` / `expired` frames
-/// back per job; the last job of a request emits its `done` frame.
-/// Duplicate configurations are simulated once (in-flight dedupe plus
-/// the shared cache) — and because the simulator is deterministic, a
-/// result served through the server is bit-identical to the same
-/// configuration run directly through [`gals_explore::Explorer`],
-/// regardless of scheduling order or transport.
+/// Concurrency model: one reader thread per connection parses request
+/// lines, expands them into jobs tagged with the request id, and
+/// admits them — atomically per request — into the single shared
+/// [`JobScheduler`]. Worker threads pull jobs in priority/aging order
+/// regardless of which connection admitted them and stream `partial` /
+/// `expired` frames back per job; the last job of a request emits its
+/// `done` frame. Duplicate configurations are simulated once (in-flight
+/// dedupe plus the shared cache) — and because the simulator is
+/// deterministic, a result served through the server is bit-identical
+/// to the same configuration run directly through
+/// [`gals_explore::Explorer`], regardless of scheduling order.
+///
+/// One client's cost is bounded by constants, not options: at most 512
+/// live connections (the next is refused with an `error` frame), at
+/// most 2,048 admitted-but-unresolved jobs per connection (its reader
+/// waits for more), and at most one 10 s write stall per dead
+/// connection before it is severed and its queued jobs cancel.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     inner: Arc<Inner>,
-    transport: Transport,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    #[cfg(target_os = "linux")]
-    reactor: Option<crate::reactor::ReactorHandle>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -316,12 +301,12 @@ impl std::fmt::Debug for Inner {
 }
 
 impl Server {
-    /// Binds, starts the worker pool and the configured transport, and
-    /// serves in background threads.
+    /// Binds, starts the worker pool and the accept loop, and serves in
+    /// background threads.
     ///
     /// # Errors
     ///
-    /// Propagates bind / cache-open / epoll-setup I/O errors.
+    /// Propagates bind / cache-open I/O errors.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let cache = match &cfg.cache_path {
             Some(path) => {
@@ -366,57 +351,24 @@ impl Server {
                 std::thread::spawn(move || inner.engine.serve_jobs(&inner.sched))
             })
             .collect();
-        // The reactor requires Linux epoll; elsewhere every config
-        // falls back to the portable threads transport.
-        let transport = if cfg!(target_os = "linux") {
-            cfg.transport
-        } else {
-            Transport::Threads
-        };
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
-        let mut server = Server {
+        let accept_handle = {
+            let inner = inner.clone();
+            let conn_handles = conn_handles.clone();
+            std::thread::spawn(move || accept_loop(&listener, &inner, &conn_handles))
+        };
+        Ok(Server {
             addr,
             inner,
-            transport,
-            accept_handle: None,
+            accept_handle: Some(accept_handle),
             worker_handles,
             conn_handles,
-            #[cfg(target_os = "linux")]
-            reactor: None,
-        };
-        match transport {
-            #[cfg(target_os = "linux")]
-            Transport::Reactor => {
-                server.reactor = Some(crate::reactor::spawn(
-                    listener,
-                    server.inner.clone(),
-                    crate::reactor::ReactorOptions {
-                        max_outbound_bytes: cfg.max_outbound_bytes.max(MAX_LINE_LEN + 1),
-                        conn_inflight_limit: cfg.conn_inflight_limit.max(1),
-                    },
-                )?);
-            }
-            #[cfg(not(target_os = "linux"))]
-            Transport::Reactor => unreachable!("reactor transport forced off above"),
-            Transport::Threads => {
-                let inner = server.inner.clone();
-                let conn_handles = server.conn_handles.clone();
-                server.accept_handle = Some(std::thread::spawn(move || {
-                    accept_loop(&listener, &inner, &conn_handles)
-                }));
-            }
-        }
-        Ok(server)
+        })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The transport actually serving connections.
-    pub fn transport(&self) -> Transport {
-        self.transport
     }
 
     /// Simulations executed so far (excludes cache hits).
@@ -456,27 +408,7 @@ impl Server {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        #[cfg(target_os = "linux")]
-        if let Some(mut reactor) = self.reactor.take() {
-            // The reactor notices the flag, stops admitting, closes the
-            // scheduler itself (it is the sole admitter), and exits
-            // only after every owed frame is flushed or its connection
-            // is provably dead.
-            reactor.wake();
-            reactor.join();
-            for h in self.worker_handles.drain(..) {
-                let _ = h.join();
-            }
-            // Final compaction; a failure here means restart
-            // will replay from the WAL instead, so warn, don't panic.
-            if let Err(e) = self.inner.engine.save_cache() {
-                eprintln!(
-                    "gals-serve: final cache compaction failed ({e}); results remain in the WAL"
-                );
-            }
-            return;
-        }
-        // Threads transport. Unblock the accept loop.
+        // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
@@ -518,18 +450,59 @@ impl Drop for Server {
     }
 }
 
+/// Counts live connections against [`MAX_CONNECTIONS`].
+#[derive(Debug, Default)]
+struct ConnSlots {
+    live: AtomicUsize,
+}
+
+impl ConnSlots {
+    /// Takes a slot, or `None` when [`MAX_CONNECTIONS`] are live.
+    fn try_acquire(self: &Arc<Self>) -> Option<ConnSlot> {
+        self.live
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < MAX_CONNECTIONS).then_some(n + 1)
+            })
+            .ok()?;
+        Some(ConnSlot(self.clone()))
+    }
+}
+
+/// One live connection's slot; dropping it frees the slot.
+struct ConnSlot(Arc<ConnSlots>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     inner: &Arc<Inner>,
     conn_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let slots = Arc::new(ConnSlots::default());
     for stream in listener.incoming() {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
+        let Some(slot) = slots.try_acquire() else {
+            // Refused without a thread. The frame is one short line
+            // into a fresh socket's empty send buffer: it cannot block.
+            let resp = Response::Error {
+                id: String::new(),
+                message: format!("server at its {MAX_CONNECTIONS}-connection limit"),
+            };
+            let _ = stream.write_all(format!("{}\n", resp.to_line()).as_bytes());
+            continue;
+        };
         let inner = inner.clone();
-        let handle = std::thread::spawn(move || connection_loop(stream, &inner));
+        let handle = std::thread::spawn(move || {
+            connection_loop(stream, &inner);
+            drop(slot);
+        });
         let mut handles = conn_handles.lock().unwrap_or_else(PoisonError::into_inner);
         // Reap readers whose clients hung up, so a long-lived server
         // under connection churn doesn't accumulate handles forever.
@@ -552,19 +525,20 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let dead = Arc::new(AtomicBool::new(false));
-    let sink: Arc<dyn FrameSink> = Arc::new(ThreadsSink {
+    let conn = Arc::new(Conn {
         writer: Mutex::new(writer),
-        dead: dead.clone(),
+        dead: Arc::new(AtomicBool::new(false)),
+        inflight: Mutex::new(0),
+        freed: Condvar::new(),
     });
     let mut reader = BufReader::new(stream);
     let mut lines = BoundedLineReader::new();
-    loop {
+    while !conn.is_dead() {
         match lines.read_line(&mut reader) {
             Ok(LineRead::Line) => {
                 let line = lines.line();
-                if !line.trim().is_empty() {
-                    handle_request(&line, inner, &sink, &dead);
+                if !line.trim().is_empty() && !handle_request(&line, inner, &conn) {
+                    break;
                 }
             }
             Ok(LineRead::TooLong) => {
@@ -572,7 +546,7 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
                     id: String::new(),
                     message: format!("request line exceeds {MAX_LINE_LEN} bytes"),
                 };
-                sink.send_frame(&resp.to_line());
+                conn.send_frame(&resp.to_line());
             }
             Ok(LineRead::Eof) => {
                 // EOF. A partial line with no terminating newline is a
@@ -583,7 +557,7 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
                         id: String::new(),
                         message: "truncated request line".to_string(),
                     };
-                    sink.send_frame(&resp.to_line());
+                    conn.send_frame(&resp.to_line());
                 }
                 return;
             }
@@ -600,10 +574,16 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
             Err(_) => return,
         }
     }
+    if conn.is_dead() {
+        // A frame write failed: sever the socket so the client sees
+        // EOF now rather than whenever it next writes; the connection's
+        // queued jobs cancel through the same flag.
+        let _ = reader.get_ref().shutdown(Shutdown::Both);
+    }
 }
 
-/// Assembles the `status` response's counters (both transports).
-pub(crate) fn status_response(id: String, inner: &Inner) -> Response {
+/// Assembles the `status` response's counters.
+fn status_response(id: String, inner: &Inner) -> Response {
     let engine = &inner.engine;
     Response::Status {
         id,
@@ -633,66 +613,66 @@ pub(crate) fn status_response(id: String, inner: &Inner) -> Response {
     }
 }
 
-/// Parses and dispatches one request line (threads transport; the
-/// reactor drives [`expand`]/[`admit`] itself so it can apply its
-/// fairness quota between the two).
-fn handle_request(
-    line: &str,
-    inner: &Arc<Inner>,
-    sink: &Arc<dyn FrameSink>,
-    dead: &Arc<AtomicBool>,
-) {
+/// Parses and dispatches one request line. Returns `false` when the
+/// reader must stop: the server began shutting down, or the connection
+/// died, while the request waited for quota.
+fn handle_request(line: &str, inner: &Arc<Inner>, conn: &Arc<Conn>) -> bool {
     inner.requests.fetch_add(1, Ordering::Relaxed);
     let req = match Request::parse(line) {
         Ok(req) => req,
         Err(message) => {
-            sink.send_frame(
+            conn.send_frame(
                 &Response::Error {
                     id: String::new(),
                     message,
                 }
                 .to_line(),
             );
-            return;
+            return true;
         }
     };
     match expand(&req.kind, inner.default_window) {
         Ok(Expanded::Work { items, window }) => {
-            admit(req, items, window, inner, sink, dead, None);
+            if conn.reserve(items.len(), &inner.shutdown) {
+                admit(req, items, window, inner, conn);
+                true
+            } else {
+                if !conn.is_dead() {
+                    conn.send_frame(&shutting_down(req.id));
+                }
+                false
+            }
         }
         Ok(Expanded::Status) => {
-            sink.send_frame(&status_response(req.id, inner).to_line());
+            conn.send_frame(&status_response(req.id, inner).to_line());
+            true
         }
         Err(message) => {
-            sink.send_frame(
+            conn.send_frame(
                 &Response::Error {
                     id: req.id,
                     message,
                 }
                 .to_line(),
             );
+            true
         }
     }
 }
 
-/// Builds one request's jobs and admits them into the shared scheduler
-/// as one atomic batch, returning whether admission succeeded (it
-/// fails only against a closed, shutting-down scheduler — the peer
-/// gets an error frame then).
-///
-/// `resolved`, when supplied (reactor transport), runs after *each*
-/// job's completion frame is queued — the reactor's accounting hook
-/// for its global outstanding-jobs count and the connection's
-/// fairness quota.
-pub(crate) fn admit(
-    req: Request,
-    items: Vec<MeasureItem>,
-    window: u64,
-    inner: &Arc<Inner>,
-    sink: &Arc<dyn FrameSink>,
-    dead: &Arc<AtomicBool>,
-    resolved: Option<Arc<dyn Fn() + Send + Sync>>,
-) -> bool {
+fn shutting_down(id: String) -> String {
+    Response::Error {
+        id,
+        message: "server shutting down".to_string(),
+    }
+    .to_line()
+}
+
+/// Builds one request's jobs, whose quota the caller reserved, and
+/// admits them into the shared scheduler as one atomic batch. Admission
+/// fails only against a closed, shutting-down scheduler; the peer gets
+/// an error frame then and the quota is returned.
+fn admit(req: Request, items: Vec<MeasureItem>, window: u64, inner: &Arc<Inner>, conn: &Arc<Conn>) {
     // checked_add: a huge client-supplied deadline_ms must not panic
     // the connection thread on targets with a narrow Instant; a
     // deadline too far away to represent is no deadline at all.
@@ -701,13 +681,12 @@ pub(crate) fn admit(
         .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
     let state = Arc::new(RequestState {
         id: req.id.clone(),
-        sink: sink.clone(),
+        conn: conn.clone(),
         remaining: AtomicUsize::new(items.len()),
         results: AtomicU64::new(0),
         expired: AtomicU64::new(0),
-        dead: dead.clone(),
     });
-    let n_jobs = items.len() as u64;
+    let n_jobs = items.len();
     let batch: Vec<(Job, Completion<'static>)> = items
         .into_iter()
         .map(|item| {
@@ -716,39 +695,30 @@ pub(crate) fn admit(
                 // The connection's dead flag doubles as the jobs'
                 // cancellation token: once the client is gone, its
                 // queued work expires instead of simulating.
-                .with_cancel_flag(dead.clone())
+                .with_cancel_flag(conn.dead.clone())
                 .with_tag(req.id.clone());
             if let Some(d) = deadline {
                 job = job.with_deadline(d);
             }
             let state = state.clone();
             let inner = inner.clone();
-            let resolved = resolved.clone();
             let complete = Box::new(move |job: Job, outcome: JobOutcome| {
                 state.complete_one(&job.item.config_key, outcome, &inner);
-                if let Some(resolved) = &resolved {
-                    resolved();
-                }
             }) as Completion<'static>;
             (job, complete)
         })
         .collect();
     if inner.sched.submit_batch(batch) {
-        inner.admitted_jobs.fetch_add(n_jobs, Ordering::Relaxed);
-        true
+        inner
+            .admitted_jobs
+            .fetch_add(n_jobs as u64, Ordering::Relaxed);
     } else {
-        sink.send_frame(
-            &Response::Error {
-                id: req.id,
-                message: "server shutting down".to_string(),
-            }
-            .to_line(),
-        );
-        false
+        conn.release(n_jobs);
+        conn.send_frame(&shutting_down(req.id));
     }
 }
 
-pub(crate) enum Expanded {
+enum Expanded {
     Work {
         items: Vec<MeasureItem>,
         window: u64,
@@ -759,7 +729,7 @@ pub(crate) enum Expanded {
 /// Expands a request into concrete measurable items (the same
 /// (spec, mode, key, machine) tuples the `Explorer` sweeps build, so
 /// cache entries are shared between the server and offline sweeps).
-pub(crate) fn expand(kind: &RequestKind, default_window: u64) -> Result<Expanded, String> {
+fn expand(kind: &RequestKind, default_window: u64) -> Result<Expanded, String> {
     let lookup =
         |name: &str| suite::by_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"));
     let eff = |w: u64| if w == 0 { default_window } else { w };
@@ -833,5 +803,30 @@ pub(crate) fn expand(kind: &RequestKind, default_window: u64) -> Result<Expanded
                 window: eff(*window),
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connection_slots_cap_and_release_on_drop() {
+        let slots = Arc::new(ConnSlots::default());
+        let mut held: Vec<ConnSlot> = (0..MAX_CONNECTIONS)
+            .map(|i| {
+                slots
+                    .try_acquire()
+                    .unwrap_or_else(|| panic!("slot {i} is under the cap"))
+            })
+            .collect();
+        assert!(slots.try_acquire().is_none(), "the cap refuses one more");
+        held.pop();
+        let again = slots.try_acquire();
+        assert!(again.is_some(), "a dropped slot is free again");
+        assert!(slots.try_acquire().is_none());
+        drop(again);
+        drop(held);
+        assert_eq!(slots.live.load(Ordering::Acquire), 0);
     }
 }

@@ -1,25 +1,20 @@
-//! Integration tests of the epoll reactor transport: bit-identity
-//! under many multiplexed connections, slow-reader backpressure
-//! (bounded memory, other clients unaffected), per-connection fairness
-//! quotas, oversize-line rejection, graceful-shutdown frame flushing,
-//! and reactor ≡ threads transport equivalence.
+//! Integration tests of connection handling: bit-identity under many
+//! concurrent connections, slow-reader isolation (the dead connection
+//! is severed, other clients unaffected), the per-connection in-flight
+//! quota, oversize-line rejection, and graceful-shutdown frame
+//! flushing.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gals_core::{ControlPolicy, MachineConfig, McdConfig, Simulator};
+use gals_common::fxmap::FxHashSet;
+use gals_core::{MachineConfig, McdConfig, Simulator, SyncConfig};
+use gals_explore::MeasureItem;
 use gals_serve::protocol::MAX_LINE_LEN;
-use gals_serve::{Client, Request, RequestKind, Response, ServeConfig, Server, Transport};
+use gals_serve::{Client, Request, RequestKind, Response, ServeConfig, Server};
 use gals_workloads::suite;
-
-fn reactor_config() -> ServeConfig {
-    ServeConfig {
-        transport: Transport::Reactor,
-        ..ServeConfig::default()
-    }
-}
 
 fn prog_request(id: &str, bench: &str, cfg: usize, window: u64) -> Request {
     Request::new(
@@ -29,19 +24,6 @@ fn prog_request(id: &str, bench: &str, cfg: usize, window: u64) -> Request {
             mode: "prog".to_string(),
             cfg: Some(cfg),
             policy: None,
-            window,
-        },
-    )
-}
-
-fn phase_request(id: &str, bench: &str, window: u64) -> Request {
-    Request::new(
-        id,
-        RequestKind::RunConfig {
-            bench: bench.to_string(),
-            mode: "phase".to_string(),
-            cfg: None,
-            policy: Some(ControlPolicy::PaperArgmin),
             window,
         },
     )
@@ -61,22 +43,18 @@ fn partial_runtime(responses: &[Response]) -> f64 {
     }
 }
 
-/// The tentpole acceptance case: 64 connections multiplexed onto one
-/// reactor thread, all in flight at once, every served result
+/// 64 connections all in flight at once, every served result
 /// bit-identical to the direct simulator run of the same
 /// configuration.
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor requires epoll")]
 fn bit_identity_under_64_multiplexed_connections() {
     const CONNS: usize = 64;
     const CFGS: usize = 16;
     let window = 600;
-    let server = Server::start(reactor_config()).unwrap();
-    assert_eq!(server.transport(), Transport::Reactor);
+    let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     // Precompute the direct runtimes once (the 64 connections reuse 16
-    // configurations, which also exercises in-flight dedupe under the
-    // reactor).
+    // configurations, which also exercises in-flight dedupe).
     let direct: Arc<Vec<f64>> = Arc::new(
         (0..CFGS)
             .map(|c| direct_prog("art", c * 13, window))
@@ -124,26 +102,19 @@ fn bit_identity_under_64_multiplexed_connections() {
     server.shutdown();
 }
 
-/// A reader that stops reading must be bounded and isolated: its
-/// outbound queue hitting the byte bound kills *that* connection
-/// (cancelling its queued jobs) while a concurrent well-behaved client
-/// keeps getting correct results.
+/// A reader that stops reading must be bounded and isolated: once a
+/// frame write to it stalls past the write-stall limit, *that*
+/// connection is severed (its queued jobs cancel) while a concurrent
+/// well-behaved client keeps getting correct results.
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor requires epoll")]
 fn slow_reader_is_bounded_and_isolated() {
-    let cfg = ServeConfig {
-        // Tight bound: a few frames of headroom beyond one maximal
-        // line (the config floor), far below the flood's volume.
-        max_outbound_bytes: MAX_LINE_LEN + 1024,
-        ..reactor_config()
-    };
-    let server = Server::start(cfg).unwrap();
+    let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // The abuser: floods sync sweeps (1,024 frames ≈ 90 KiB each) and
     // never reads a byte. The volume must exceed what the kernel can
     // silently absorb for an unread socket — tcp_wmem autotunes the
-    // send buffer to 4 MiB here — or the bounded queue never fills.
+    // send buffer up to 4 MiB on Linux — or no write ever stalls.
     // Dedupe makes the repeats nearly free: only the first sweep
     // simulates; the rest resolve from cache/in-flight claims.
     let mut abuser = TcpStream::connect(addr).unwrap();
@@ -170,8 +141,16 @@ fn slow_reader_is_bounded_and_isolated() {
         "victim of a noisy neighbor must still get exact results"
     );
 
-    // The server must sever the abuser: once its bounded queue
-    // overflows the socket closes (reads see EOF/reset, not timeout).
+    // The abuser stays unread until the server gives up on it (its
+    // queued jobs start cancelling) or 30 s pass: reading earlier would
+    // turn it into a reader that keeps up, which nothing should sever.
+    let give_up = Instant::now();
+    while server.cancelled_count() == 0 && give_up.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // The server must sever the abuser: once a write to it stalls out
+    // the socket closes (reads see EOF/reset, not timeout).
     abuser
         .set_read_timeout(Some(Duration::from_millis(200)))
         .unwrap();
@@ -196,8 +175,9 @@ fn slow_reader_is_bounded_and_isolated() {
     };
     assert!(severed, "slow reader must be disconnected, not buffered");
     // Its undone work was cancelled, not simulated to completion for
-    // nobody: the flood queued ~102K jobs and the kill happened
-    // mid-stream with sweeps still pending.
+    // nobody: the flood asked for ~102K jobs, the quota kept up to
+    // 2,048 of them admitted, and the kill happened mid-stream with
+    // most of those still queued.
     assert!(
         server.cancelled_count() > 0,
         "queued jobs of the dead connection must cancel"
@@ -205,90 +185,111 @@ fn slow_reader_is_bounded_and_isolated() {
     server.shutdown();
 }
 
-/// The per-connection in-flight quota trickles an oversized pipeline
-/// through without deadlock or loss: every request completes, in
-/// order, with correct results.
+/// The per-connection in-flight quota (2,048 jobs) trickles an
+/// oversized pipeline through without deadlock or loss: three pipelined
+/// 1,024-job sweeps exceed it, so the third waits for quota, and every
+/// frame still arrives, in request order, bit-exact.
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor requires epoll")]
 fn fairness_quota_trickles_pipelined_requests() {
-    const REQUESTS: usize = 40;
-    let cfg = ServeConfig {
-        conn_inflight_limit: 4,
-        ..reactor_config()
-    };
-    let server = Server::start(cfg).unwrap();
+    const WINDOW: u64 = 60;
+    let benches = ["adpcm_encode", "bisort", "gzip"];
+    let server = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    // Pipeline everything up front: 40 single-job requests against a
-    // quota of 4 in-flight jobs.
-    for r in 0..REQUESTS {
-        client
-            .send(&prog_request(&format!("q{r}"), "bisort", r * 3, 400))
-            .unwrap();
+    for (r, bench) in benches.iter().enumerate() {
+        let req = Request::new(
+            format!("q{r}"),
+            RequestKind::Sweep {
+                bench: bench.to_string(),
+                mode: "sync".to_string(),
+                window: WINDOW,
+            },
+        );
+        client.send(&req).unwrap();
     }
+    // Direct runs while the server works.
+    let direct: Vec<Vec<(String, u64)>> = benches
+        .iter()
+        .map(|bench| {
+            let spec = suite::by_name(bench).unwrap();
+            SyncConfig::enumerate()
+                .into_iter()
+                .map(|c| {
+                    let item = MeasureItem::sync(spec.clone(), c);
+                    let ns = Simulator::new(item.machine.clone())
+                        .run(&mut item.spec.stream(), WINDOW)
+                        .runtime_ns();
+                    (item.config_key, ns.to_bits())
+                })
+                .collect()
+        })
+        .collect();
+    let mut seen: Vec<FxHashSet<String>> = vec![FxHashSet::default(); benches.len()];
     let mut done = 0;
-    let mut partials = 0;
-    while done < REQUESTS {
+    while done < benches.len() {
         match client.read_response().unwrap() {
-            Response::Partial { id, runtime_ns, .. } => {
+            Response::Partial {
+                id,
+                key,
+                runtime_ns,
+                ..
+            } => {
                 let r: usize = id[1..].parse().unwrap();
-                assert_eq!(
-                    runtime_ns.to_bits(),
-                    direct_prog("bisort", r * 3, 400).to_bits(),
-                    "{id} exact"
-                );
-                partials += 1;
+                assert!(r >= done, "{id}: partial after its request's done");
+                let want = direct[r]
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap_or_else(|| panic!("{id}: unknown key {key}"))
+                    .1;
+                assert_eq!(runtime_ns.to_bits(), want, "{id}/{key} exact");
+                assert!(seen[r].insert(key), "{id}: duplicate frame");
             }
-            Response::Done { .. } => done += 1,
+            Response::Done {
+                id,
+                results,
+                expired,
+            } => {
+                assert_eq!(id, format!("q{done}"), "done frames in request order");
+                assert_eq!((results, expired), (direct[done].len() as u64, 0));
+                assert_eq!(seen[done].len(), direct[done].len(), "{id}: every partial");
+                done += 1;
+            }
             other => panic!("unexpected frame {other:?}"),
         }
     }
-    assert_eq!(partials, REQUESTS);
     server.shutdown();
 }
 
 /// A request line over the protocol bound earns an error frame and is
 /// discarded whole; the connection survives and serves the next
-/// request on both transports.
+/// request.
 #[test]
 fn oversize_line_is_rejected_connection_survives() {
-    for transport in [Transport::Reactor, Transport::Threads] {
-        if transport == Transport::Reactor && !cfg!(target_os = "linux") {
-            continue;
-        }
-        let server = Server::start(ServeConfig {
-            transport,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let giant = "x".repeat(MAX_LINE_LEN + 100);
-        client.send_raw(&giant).unwrap();
-        match client.read_response().unwrap() {
-            Response::Error { message, .. } => {
-                assert!(message.contains("exceeds"), "{transport:?}: {message}")
-            }
-            other => panic!("{transport:?}: expected error frame, got {other:?}"),
-        }
-        let responses = client
-            .request(&prog_request("after", "gzip", 2, 300))
-            .unwrap();
-        assert_eq!(
-            partial_runtime(&responses).to_bits(),
-            direct_prog("gzip", 2, 300).to_bits(),
-            "{transport:?}: connection must survive an oversize line"
-        );
-        server.shutdown();
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let giant = "x".repeat(MAX_LINE_LEN + 100);
+    client.send_raw(&giant).unwrap();
+    match client.read_response().unwrap() {
+        Response::Error { message, .. } => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected error frame, got {other:?}"),
     }
+    let responses = client
+        .request(&prog_request("after", "gzip", 2, 300))
+        .unwrap();
+    assert_eq!(
+        partial_runtime(&responses).to_bits(),
+        direct_prog("gzip", 2, 300).to_bits(),
+        "connection must survive an oversize line"
+    );
+    server.shutdown();
 }
 
 /// Graceful shutdown at connection scale: 32 live connections with
 /// admitted work; `shutdown()` must flush every owed frame — each
 /// request's partial and done — before any socket closes.
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor requires epoll")]
 fn shutdown_flushes_owed_frames_on_live_connections() {
     const CONNS: usize = 32;
-    let server = Server::start(reactor_config()).unwrap();
+    let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut clients: Vec<Client> = (0..CONNS)
         .map(|c| {
@@ -299,7 +300,7 @@ fn shutdown_flushes_owed_frames_on_live_connections() {
             client
         })
         .collect();
-    // Give the reactor a beat to admit, then shut down concurrently
+    // Give the readers a beat to admit, then shut down concurrently
     // while nobody has read a single frame yet.
     std::thread::sleep(Duration::from_millis(100));
     let shutdown = std::thread::spawn(move || server.shutdown());
@@ -327,40 +328,4 @@ fn shutdown_flushes_owed_frames_on_live_connections() {
         assert!(got_done && got_result, "conn {c} owed partial + done");
     }
     shutdown.join().unwrap();
-}
-
-/// The transport swap must be invisible on the wire: the same request
-/// stream through a reactor server and a threads server produces
-/// bit-identical runtimes (and both match the direct path).
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "comparison needs both transports")]
-fn transports_are_bit_identical() {
-    let mut by_transport: Vec<Vec<f64>> = Vec::new();
-    for transport in [Transport::Reactor, Transport::Threads] {
-        let server = Server::start(ServeConfig {
-            transport,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let mut runtimes = Vec::new();
-        for (i, bench) in ["gzip", "art", "em3d"].iter().enumerate() {
-            let responses = client
-                .request(&prog_request(&format!("t{i}"), bench, i * 11, 450))
-                .unwrap();
-            runtimes.push(partial_runtime(&responses));
-            let responses = client
-                .request(&phase_request(&format!("p{i}"), bench, 450))
-                .unwrap();
-            runtimes.push(partial_runtime(&responses));
-        }
-        server.shutdown();
-        by_transport.push(runtimes);
-    }
-    let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&by_transport[0]),
-        bits(&by_transport[1]),
-        "reactor and threads transports must serve identical results"
-    );
 }

@@ -37,6 +37,7 @@
 //! assert!((0.28..0.34).contains(&drop), "adaptive DM->2W drop ≈ 31%");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -45,6 +45,7 @@
 //! assert_eq!(again.next_inst(), first, "streams are deterministic");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

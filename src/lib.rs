@@ -32,6 +32,7 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use gals_cache as cache;
