@@ -71,11 +71,19 @@ impl SyncModel {
         producer_period: Femtos,
         consumer_period: Femtos,
     ) -> Femtos {
+        produced_at + self.delay(producer_period, consumer_period)
+    }
+
+    /// The crossing delay itself: how long after production a value
+    /// becomes safe to latch. It depends only on the two periods, so a
+    /// caller whose periods change rarely can compute it once per change.
+    #[inline]
+    pub fn delay(&self, producer_period: Femtos, consumer_period: Femtos) -> Femtos {
         if self.threshold_frac == 0.0 {
-            return produced_at;
+            return Femtos::ZERO;
         }
         let fast = producer_period.min(consumer_period).as_fs() as f64;
-        produced_at + Femtos::new((self.threshold_frac * fast).ceil() as u64)
+        Femtos::new((self.threshold_frac * fast).ceil() as u64)
     }
 }
 

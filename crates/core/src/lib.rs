@@ -36,6 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod periods;
 mod sim;
 mod stats;
 

@@ -49,6 +49,13 @@
 //!   forwarding consults an [`FxHashMap`]-indexed map from 8-byte line to
 //!   an intrusive chain of in-flight stores (no per-line allocation, no
 //!   SipHash), and LSQ commit-time removal is O(1) head popping.
+//! * A **period table** ([`PeriodTable`]) holds everything derived from
+//!   the four clock periods alone: the crossing delay for each pair of
+//!   domains, each domain's jitter guard band, and the guarded issue,
+//!   load/store and cache latencies. A period changes only when a PLL
+//!   relock completes inside a tick or a fast-forward, so the table is
+//!   rebuilt right after those and a crossing or an issue is a lookup,
+//!   not float math per instruction. Both loops read it.
 //! * The **straightforward reference path**
 //!   ([`Simulator::use_reference_loop`]): every edge of every domain
 //!   runs its full handler, forwarding reverse-scans the LSQ, and every
@@ -77,6 +84,7 @@ use gals_timing::{Dl2Config, ICacheConfig, Variant};
 use gals_workloads::PreparedTrace;
 
 use crate::config::{MachineConfig, MachineKind};
+use crate::periods::PeriodTable;
 use crate::stats::{CacheSummary, ReconfigEvent, ReconfigKind, SimResult};
 
 const FE: usize = DomainId::FrontEnd.index();
@@ -259,7 +267,9 @@ pub struct Simulator {
     cfg: MachineConfig,
 
     clocks: [DomainClock; 4],
-    sync: SyncModel,
+    /// Crossing delays and guarded latencies for the clocks' current
+    /// periods, rebuilt when a relock changes one.
+    periods: PeriodTable,
 
     icache: AccountingCache,
     l1d: AccountingCache,
@@ -377,6 +387,7 @@ impl Simulator {
         } else {
             SyncModel::disabled()
         };
+        let periods = PeriodTable::new(sync, &clocks, p);
 
         // Caches: phase mode keeps the full physical arrays with movable
         // A/B boundaries; fixed modes build exactly the chosen capacity.
@@ -482,7 +493,7 @@ impl Simulator {
         };
         Simulator {
             clocks,
-            sync,
+            periods,
             icache,
             l1d,
             l2,
@@ -651,30 +662,20 @@ impl Simulator {
         st.next_check = Femtos::MAX;
     }
 
-    /// Duration of `cycles` cycles in `domain`, minus a jitter guard-band.
-    ///
-    /// Completions are scheduled `guard = 2·jitter·period` early so that a
-    /// consumer edge that nominally coincides with the completing edge
-    /// still qualifies even when jitter makes it arrive marginally early
-    /// — within a domain, producer and consumer share the physical clock,
-    /// so back-to-back dependent issue must not depend on jitter phase.
-    #[inline]
-    fn cycles_in(&self, domain: usize, cycles: u64) -> Femtos {
-        let period = self.clocks[domain].period();
-        let span = period * cycles;
-        let guard = Femtos::new((period.as_fs() as f64 * self.cfg.params.jitter_frac * 2.0) as u64);
-        span.saturating_sub(guard).max(Femtos::new(1))
-    }
-
     /// Time a value completed at `at` in domain `from` becomes usable in
-    /// domain `to` (Sjogren–Myers window on domain crossings).
+    /// domain `to` (Sjogren–Myers window on domain crossings; zero delay
+    /// within a domain).
     #[inline]
     fn xfer(&self, at: Femtos, from: usize, to: usize) -> Femtos {
-        if from == to {
-            at
-        } else {
-            self.sync
-                .ready_time(at, self.clocks[from].period(), self.clocks[to].period())
+        at + self.periods.sync_delay[from][to]
+    }
+
+    /// Rebuilds the period table after `domain`'s clock ticked, if the
+    /// tick completed a relock that changed its period.
+    #[inline]
+    fn track_period(&mut self, domain: usize) {
+        if self.clocks[domain].period() != self.periods.period(domain) {
+            self.periods.refresh(&self.clocks, &self.cfg.params);
         }
     }
 
@@ -785,31 +786,14 @@ impl Simulator {
         }
     }
 
-    /// L1 B-partition latency (cycles) for the current config of a cache
-    /// table, from Table 5.
-    fn l1_b_latency(&self, idx: usize) -> u64 {
-        self.cfg.params.l1_b_cycles[idx].unwrap_or(self.cfg.params.l1_a_cycles)
-    }
-
-    fn l2_b_latency(&self, idx: usize) -> u64 {
-        self.cfg.params.l2_b_cycles[idx].unwrap_or(self.cfg.params.l2_a_cycles)
-    }
-
     /// Services an access in the L2 (+memory beyond), returning the delay
     /// beyond this point in time. Also updates L2 accounting totals.
     fn l2_access(&mut self, addr: u64, kind: AccessKind) -> Femtos {
-        let p_ls = self.clocks[LS].period();
-        let r = self.l2.access(addr, kind);
-        let cycles = match r.served {
-            ServedBy::APartition => self.cfg.params.l2_a_cycles,
-            ServedBy::BPartition => self.l2_b_latency(self.dl2_idx),
-            ServedBy::Miss => self.cfg.params.l2_a_cycles,
-        };
-        let mut delay = p_ls * cycles;
-        if r.served == ServedBy::Miss {
-            delay += self.cfg.params.memory_latency();
+        match self.l2.access(addr, kind).served {
+            ServedBy::APartition => self.periods.l2_a,
+            ServedBy::BPartition => self.periods.l2_b[self.dl2_idx],
+            ServedBy::Miss => self.periods.l2_miss,
         }
-        delay
     }
 
     // ------------------------------------------------------------------
@@ -912,16 +896,11 @@ impl Simulator {
 
     fn commit(&mut self, e: Femtos, window: u64) {
         let mut retired = 0;
-        // Per-group caches: every store retiring on this edge becomes
-        // visible in LS at the same `xfer(e, FE, LS)` instant, so the
-        // crossing is computed once per retire group and the LS wake is
-        // folded into a single `wake_domain` call after the loop
-        // (`wake_domain` is a pure min, so one call with the group
-        // minimum is bit-identical to one call per store). The cached
-        // crossing is invalidated when `interval_decision` fires mid-
-        // group: a frequency change rewrites clock periods and with them
-        // the synchronization cost.
-        let mut store_ready: Option<Femtos> = None;
+        // Every store retiring on this edge becomes visible in LS at the
+        // same instant, so the LS wake is folded into a single
+        // `wake_domain` call after the loop (`wake_domain` is a pure min,
+        // so one call with the group minimum is bit-identical to one call
+        // per store).
         let mut ls_wake: Option<Femtos> = None;
         while retired < self.cfg.params.retire_width && self.committed < window {
             let Some(&slot) = self.rob.front() else { break };
@@ -943,14 +922,7 @@ impl Simulator {
             if is_store {
                 // Perform the write in the load/store domain after the
                 // commit signal crosses over.
-                let ready = match store_ready {
-                    Some(r) => r,
-                    None => {
-                        let r = self.xfer(e, FE, LS);
-                        store_ready = Some(r);
-                        r
-                    }
-                };
+                let ready = self.xfer(e, FE, LS);
                 self.store_jobs.push_back(StoreJob { addr, ready });
                 self.remove_lsq_head(slot);
                 if self.event_driven {
@@ -997,8 +969,7 @@ impl Simulator {
 
             if let Some(en) = self.engine.as_mut() {
                 if en.commit_tick() {
-                    self.interval_decision(e);
-                    store_ready = None;
+                    self.interval_decision();
                 }
             }
         }
@@ -1024,7 +995,7 @@ impl Simulator {
     /// frequency change and either applies the structural resize now
     /// (downsizes — the clock speeds up after relock) or registers it to
     /// apply once the relock completes (upsizes).
-    fn interval_decision(&mut self, e: Femtos) {
+    fn interval_decision(&mut self) {
         // I-cache / branch predictor pair. Decisions are deferred (by
         // the engine) while the domain is already relocking.
         let ic_stats = self.icache.take_stats();
@@ -1096,7 +1067,6 @@ impl Simulator {
         {
             self.apply_iq_decision(d);
         }
-        let _ = e;
     }
 
     fn accumulate_ic(&mut self, s: &gals_cache::AccountingStats) {
@@ -1131,14 +1101,12 @@ impl Simulator {
     }
 
     fn rename_dispatch(&mut self, e: Femtos) {
-        // Per-group caches: nothing inside the dispatch loop changes
-        // clock periods, so `xfer(e, FE, d)` is a per-domain constant
-        // for the whole fetch group. Compute each crossing at most once
-        // and fold the per-instruction execution-domain wakes into one
-        // `wake_domain` call per domain after the loop (bit-identical:
-        // the deferred values are equal and `wake_domain` is a pure
-        // min that nothing inside the loop reads back).
-        let mut arrival_cache: [Option<Femtos>; 4] = [None; 4];
+        // Every instruction of the group bound for domain `d` arrives
+        // there at the same `xfer(e, FE, d)`, so the per-instruction
+        // execution-domain wakes fold into one `wake_domain` call per
+        // domain after the loop (bit-identical: the deferred values are
+        // equal and `wake_domain` is a pure min that nothing inside the
+        // loop reads back).
         let mut deferred_wake: [Option<Femtos>; 4] = [None; 4];
         for _ in 0..self.cfg.params.decode_width {
             let Some(&slot) = self.fetch_q.front() else {
@@ -1216,14 +1184,7 @@ impl Simulator {
                 uses_phys = true;
                 self.rename_map[d.packed() as usize] = RenameRef::Pending(seq);
             }
-            let arrival = match arrival_cache[exec_domain] {
-                Some(a) => a,
-                None => {
-                    let a = self.xfer(e, FE, exec_domain);
-                    arrival_cache[exec_domain] = Some(a);
-                    a
-                }
-            };
+            let arrival = self.xfer(e, FE, exec_domain);
             {
                 let st = self.st_mut(slot);
                 st.srcs = srcs;
@@ -1351,8 +1312,7 @@ impl Simulator {
                 match r.served {
                     ServedBy::APartition => {}
                     ServedBy::BPartition => {
-                        let extra = self.l1_b_latency(self.ic_idx) - self.cfg.params.l1_a_cycles;
-                        self.fetch_stalled_until = e + self.clocks[FE].period() * extra;
+                        self.fetch_stalled_until = e + self.periods.ic_b_stall[self.ic_idx];
                         self.pending_inst = Some((inst, line));
                         return;
                     }
@@ -1465,10 +1425,7 @@ impl Simulator {
                 continue;
             }
             // Functional unit.
-            let p = &self.cfg.params;
-            let lat_cycles = p.op_latency_cycles(op);
-            let unpipelined = p.op_unpipelined(op);
-            let busy = self.cycles_in(domain, if unpipelined { lat_cycles } else { 1 });
+            let timing = self.periods.exec[qi][op as usize];
             let pool_idx = usize::from(matches!(
                 op,
                 OpClass::IntMul
@@ -1482,20 +1439,16 @@ impl Simulator {
             } else {
                 &mut self.fu_fp[pool_idx]
             };
-            if !pool.try_acquire(e, busy) {
+            if !pool.try_acquire(e, timing.busy) {
                 cur = next;
                 continue;
             }
 
-            let completion = e + self.cycles_in(domain, lat_cycles);
+            let completion = e + timing.latency;
             self.complete_at(cur, completion, domain);
             // Mispredicted branch: resolution schedules the refetch.
             if self.st(cur).mispredicted {
-                let p = &self.cfg.params;
-                let resolve_at_fe = self.xfer(completion, domain, FE);
-                let resume = resolve_at_fe
-                    + self.clocks[FE].period() * p.mispredict_fe_cycles
-                    + self.clocks[INT].period() * p.mispredict_int_cycles;
+                let resume = self.xfer(completion, domain, FE) + self.periods.mispredict_refill;
                 self.fetch_stalled_until = self.fetch_stalled_until.max(resume);
                 self.fetch_blocked_on = None;
                 if self.event_driven {
@@ -1591,7 +1544,7 @@ impl Simulator {
                 OpClass::Store => {
                     // Data and address ready: ready to commit one cycle
                     // later. The actual cache write happens at commit.
-                    let done = e + self.cycles_in(LS, 1);
+                    let done = e + self.periods.ls_one;
                     self.complete_at(cur, done, LS);
                     Self::qunlink(&mut self.lsq_pending, &mut self.slab, cur);
                 }
@@ -1618,7 +1571,7 @@ impl Simulator {
                         match self.st(older).completion {
                             Some(c) if c <= e => {
                                 // Forward from the store buffer.
-                                let done = e + self.cycles_in(LS, 1);
+                                let done = e + self.periods.ls_one;
                                 self.complete_at(cur, done, LS);
                                 forwarded = true;
                             }
@@ -1719,7 +1672,7 @@ impl Simulator {
                 OpClass::Store => {
                     // Data and address ready: ready to commit one cycle
                     // later. The actual cache write happens at commit.
-                    let done = e + self.cycles_in(LS, 1);
+                    let done = e + self.periods.ls_one;
                     self.complete_at(slot, done, LS);
                 }
                 OpClass::Load => {
@@ -1738,7 +1691,7 @@ impl Simulator {
                             match ost.completion {
                                 Some(c) if c <= e => {
                                     // Forward from the store buffer.
-                                    let done = e + self.cycles_in(LS, 1);
+                                    let done = e + self.periods.ls_one;
                                     self.complete_at(slot, done, LS);
                                     forwarded = true;
                                 }
@@ -1776,24 +1729,18 @@ impl Simulator {
     /// is put to sleep until the earliest one frees).
     fn load_dcache_access(&mut self, slot: u32, addr: u64, e: Femtos) -> Option<Femtos> {
         let r = self.l1d.access(addr, AccessKind::Read);
-        let p = &self.cfg.params;
-        let a_cycles = p.l1_a_cycles;
-        let mshrs = p.mshrs;
         match r.served {
-            ServedBy::APartition => Some(e + self.cycles_in(LS, a_cycles)),
-            ServedBy::BPartition => {
-                let b = self.l1_b_latency(self.dl2_idx);
-                Some(e + self.cycles_in(LS, b))
-            }
+            ServedBy::APartition => Some(e + self.periods.l1_a),
+            ServedBy::BPartition => Some(e + self.periods.l1_b[self.dl2_idx]),
             ServedBy::Miss => {
-                if self.mshr.len() >= mshrs {
+                if self.mshr.len() >= self.cfg.params.mshrs {
                     // Sleep until the earliest MSHR frees.
                     if let Some(&wake) = self.mshr.iter().min() {
                         self.st_mut(slot).next_check = wake;
                     }
                     return None;
                 }
-                let base = self.cycles_in(LS, a_cycles);
+                let base = self.periods.l1_a;
                 let delay = self.l2_access(addr, AccessKind::Read);
                 let done = e + base + delay;
                 self.mshr.push(done);
@@ -1889,6 +1836,7 @@ impl Simulator {
         for clock in &mut self.clocks {
             clock.fast_forward_to(horizon);
         }
+        self.periods.refresh(&self.clocks, &self.cfg.params);
         true
     }
 
@@ -1908,6 +1856,7 @@ impl Simulator {
                 continue;
             }
             let e = self.clocks[d].tick();
+            self.track_period(d);
             if !self.event_driven || e >= self.next_work[d] {
                 match d {
                     0 => self.fe_edge(e, src, window),
@@ -2125,6 +2074,41 @@ mod tests {
         assert!(r.icache.accesses > 0);
         // 256-instruction loop fits the I-cache: only cold misses remain.
         assert!(r.icache.miss_rate() < 0.03, "rate {}", r.icache.miss_rate());
+    }
+
+    #[test]
+    fn period_table_tracks_every_relock() {
+        // apsi reconfigures five times in 150K instructions on this
+        // machine, and its clock periods change at three points. Pausing
+        // after every commit observes the table after each relock
+        // completion (a relock spans thousands of commits), on both loops.
+        let machine = MachineConfig::phase_adaptive(McdConfig::smallest());
+        let window = 150_000;
+        let spec = gals_workloads::suite::by_name("apsi").unwrap();
+        let need = window + machine.params.max_in_flight() as u64;
+        let prep = PreparedTrace::new(
+            &gals_workloads::SharedTrace::capture(&mut spec.stream(), need),
+            machine.params.line_bytes,
+        );
+        for reference in [false, true] {
+            let mut sim = Simulator::new(machine.clone());
+            if reference {
+                sim = sim.use_reference_loop();
+            }
+            sim.periods.assert_matches(&sim.clocks, &sim.cfg.params);
+            let mut seen = sim.clocks.each_ref().map(DomainClock::period);
+            let mut changes = 0;
+            while !sim.run_chunk(&prep, window, sim.committed + 1) {
+                let now = sim.clocks.each_ref().map(DomainClock::period);
+                if now != seen {
+                    changes += 1;
+                    seen = now;
+                }
+                sim.periods.assert_matches(&sim.clocks, &sim.cfg.params);
+            }
+            assert!(changes >= 3, "expected relocks to complete, saw {changes}");
+            assert_eq!(sim.finish("apsi").reconfigs.len(), 5);
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use gals_common::env::parse_env_or;
@@ -168,6 +168,24 @@ struct PoolEntry {
     prepared: PreparedTrace,
 }
 
+/// A capture in progress: the spec being recorded, how many
+/// instructions, and for which I-cache line size.
+#[derive(Debug)]
+struct Capture {
+    spec: BenchmarkSpec,
+    need: u64,
+    line_bytes: u64,
+}
+
+/// What the pool's mutex guards: the recordings, the captures in
+/// flight, and how many requests are waiting for one.
+#[derive(Debug, Default)]
+struct PoolState {
+    entries: Vec<PoolEntry>,
+    capturing: Vec<Capture>,
+    waiting: usize,
+}
+
 /// The LRU-bounded pool of shared benchmark recordings.
 ///
 /// The entry list is tiny (a handful to a few dozen benchmarks), so a
@@ -177,31 +195,60 @@ struct PoolEntry {
 /// Entries are kept in recency order (most recently used last); when
 /// the total recorded instructions exceed the bound, the
 /// least-recently-used end is evicted.
+///
+/// Captures are single-flight: a request that misses while a capture
+/// that will cover it is in flight waits for that capture instead of
+/// recording the same stream again, so each benchmark is captured once
+/// however many workers ask for it at the same moment.
 #[derive(Debug)]
 struct TracePool {
-    entries: Mutex<Vec<PoolEntry>>,
+    state: Mutex<PoolState>,
+    /// Signalled whenever a capture ends, successfully or not.
+    captured: Condvar,
     capacity_insts: u64,
     hits: AtomicU64,
     builds: AtomicU64,
 }
 
+/// Clears a capture's in-flight mark and wakes its waiters when
+/// dropped, including when the capture panics: the waiters then find
+/// no capture in flight and record the stream themselves.
+struct CaptureMark<'a> {
+    pool: &'a TracePool,
+    spec: &'a BenchmarkSpec,
+    need: u64,
+    line_bytes: u64,
+}
+
+impl Drop for CaptureMark<'_> {
+    fn drop(&mut self) {
+        let mut state = self.pool.lock();
+        if let Some(pos) = state.capturing.iter().position(|c| {
+            c.need == self.need && c.line_bytes == self.line_bytes && &c.spec == self.spec
+        }) {
+            state.capturing.swap_remove(pos);
+        }
+        drop(state);
+        self.pool.captured.notify_all();
+    }
+}
+
 impl TracePool {
     fn new(capacity_insts: u64) -> Self {
         TracePool {
-            entries: Mutex::new(Vec::new()),
+            state: Mutex::new(PoolState::default()),
+            captured: Condvar::new(),
             capacity_insts,
             hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<PoolEntry>> {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
         // A panic while holding the lock can only come from an
-        // allocation failure mid-push; the entry list itself is never
+        // allocation failure mid-push; the lists themselves are never
         // left half-written.
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns a recording of at least `need` instructions of `spec`,
@@ -225,20 +272,49 @@ impl TracePool {
             entries.push(e);
             Some(prepared)
         };
-        if let Some(hit) = refresh(&mut self.lock()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
+        let in_flight =
+            |c: &Capture| c.need >= need && c.line_bytes == line_bytes && &c.spec == spec;
+        let mut state = self.lock();
+        loop {
+            if let Some(hit) = refresh(&mut state.entries) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(hit);
+            }
+            if !state.capturing.iter().any(in_flight) {
+                break;
+            }
+            state.waiting += 1;
+            state = self
+                .captured
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
         }
-        // Miss (or too-short recording): capture outside the lock so
-        // other benchmarks' workers aren't stalled behind stream
-        // generation. Concurrent builders of the same spec may race;
-        // the determinism contract makes their recordings prefixes of
-        // one another, so whichever covers the request first wins.
+        // Miss (or too-short recording) with no covering capture in
+        // flight: mark this one and capture outside the lock so other
+        // benchmarks' workers aren't stalled behind stream generation.
+        state.capturing.push(Capture {
+            spec: spec.clone(),
+            need,
+            line_bytes,
+        });
+        drop(state);
+        let mark = CaptureMark {
+            pool: self,
+            spec,
+            need,
+            line_bytes,
+        };
         let prepared =
             PreparedTrace::new(&SharedTrace::capture(&mut spec.stream(), need), line_bytes);
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.lock();
-        if let Some(existing) = refresh(&mut entries) {
+        let mut state = self.lock();
+        let entries = &mut state.entries;
+        // A longer capture of the same spec that finished meanwhile
+        // covers this request too; keep the longer recording.
+        if let Some(existing) = refresh(entries) {
+            drop(state);
+            drop(mark);
             return Some(existing);
         }
         entries.push(PoolEntry {
@@ -251,6 +327,8 @@ impl TracePool {
         while total > self.capacity_insts && entries.len() > 1 {
             total -= entries.remove(0).prepared.len() as u64;
         }
+        drop(state);
+        drop(mark);
         Some(prepared)
     }
 }
@@ -620,6 +698,7 @@ impl SweepEngine {
     pub fn trace_pool_benchmarks(&self) -> Vec<String> {
         self.traces
             .lock()
+            .entries
             .iter()
             .map(|e| e.spec.name().to_string())
             .collect()
@@ -1088,24 +1167,30 @@ mod tests {
 
     #[test]
     fn trace_pool_materializes_each_benchmark_once() {
-        // One worker: concurrent workers may race a benchmark's first
-        // capture (by design — capture happens outside the pool lock),
-        // which makes exact build/hit counts nondeterministic.
-        let engine = SweepEngine::new(ResultCache::in_memory()).with_threads(1);
-        let sync = MachineConfig::synchronous(SyncConfig::paper_best());
-        // Four distinct configs over two benchmarks: two captures, the
-        // other six runs replay pooled traces.
-        let mut work = Vec::new();
-        for bench in ["adpcm_encode", "gzip"] {
-            for key in ["a", "b", "c", "d"] {
-                work.push(item(bench, "pooltest", sync.clone(), key));
+        // Captures are single-flight, so the counts are exact at any
+        // worker count: a worker that misses while a covering capture is
+        // in flight waits for it.
+        for threads in [1, 2, 4] {
+            let engine = SweepEngine::new(ResultCache::in_memory()).with_threads(threads);
+            let sync = MachineConfig::synchronous(SyncConfig::paper_best());
+            // Four distinct configs over two benchmarks: two captures,
+            // the other six runs replay pooled traces.
+            let mut work = Vec::new();
+            for bench in ["adpcm_encode", "gzip"] {
+                for key in ["a", "b", "c", "d"] {
+                    work.push(item(bench, "pooltest", sync.clone(), key));
+                }
             }
+            let results = engine.measure(&work, 1_000);
+            assert!(results.iter().all(|r| r.is_finite()));
+            assert_eq!(engine.simulated_count(), 8);
+            assert_eq!(
+                engine.trace_pool_builds(),
+                2,
+                "{threads} workers: one capture per benchmark"
+            );
+            assert_eq!(engine.trace_pool_hits(), 6, "{threads} workers");
         }
-        let results = engine.measure(&work, 1_000);
-        assert!(results.iter().all(|r| r.is_finite()));
-        assert_eq!(engine.simulated_count(), 8);
-        assert_eq!(engine.trace_pool_builds(), 2, "one capture per benchmark");
-        assert_eq!(engine.trace_pool_hits(), 6);
     }
 
     #[test]
@@ -1131,20 +1216,55 @@ mod tests {
 
     #[test]
     fn disabled_pool_regenerates_streams_and_matches() {
-        // One worker on the pooled side: exact build counts (asserted
-        // below) are only deterministic without capture races.
-        let pooled = SweepEngine::new(ResultCache::in_memory()).with_threads(1);
-        let unpooled = SweepEngine::new(ResultCache::in_memory()).without_trace_pool();
         let work = vec![
             item("art", "pooltest", sync_cfg(), "k1"),
             item("art", "pooltest", sync_cfg(), "k2"),
         ];
-        let a = pooled.measure(&work, 1_500);
+        let unpooled = SweepEngine::new(ResultCache::in_memory()).without_trace_pool();
         let b = unpooled.measure(&work, 1_500);
-        assert_eq!(a, b, "pooled and per-job-stream runs must be bit-identical");
         assert_eq!(unpooled.trace_pool_builds(), 0);
         assert_eq!(unpooled.trace_pool_hits(), 0);
-        assert_eq!(pooled.trace_pool_builds(), 1);
+        for threads in [1, 2, 4] {
+            let pooled = SweepEngine::new(ResultCache::in_memory()).with_threads(threads);
+            let a = pooled.measure(&work, 1_500);
+            assert_eq!(a, b, "pooled and per-job-stream runs must be bit-identical");
+            assert_eq!(pooled.trace_pool_builds(), 1, "{threads} workers");
+            assert_eq!(pooled.trace_pool_hits(), 1, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn a_failed_capture_releases_its_waiters() {
+        let pool = TracePool::new(10_000);
+        let spec = suite::by_name("gzip").unwrap();
+        // A capture of 500 instructions is in flight, as `get` marks it.
+        pool.lock().capturing.push(Capture {
+            spec: spec.clone(),
+            need: 500,
+            line_bytes: 64,
+        });
+        std::thread::scope(|s| {
+            // This request is covered by the one in flight, so it waits.
+            let waiter = s.spawn(|| pool.get(&spec, 400, 64));
+            while pool.lock().waiting == 0 {
+                std::thread::yield_now();
+            }
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                let _mark = CaptureMark {
+                    pool: &pool,
+                    spec: &spec,
+                    need: 500,
+                    line_bytes: 64,
+                };
+                panic!("capture failed");
+            }));
+            assert!(failed.is_err());
+            // The mark's drop woke the waiter, which captured for itself.
+            let got = waiter.join().expect("waiter returns");
+            assert_eq!(got.map(|p| p.len()), Some(400));
+        });
+        assert_eq!(pool.builds.load(Ordering::Relaxed), 1);
+        assert!(pool.lock().capturing.is_empty());
     }
 
     #[test]
@@ -1158,10 +1278,10 @@ mod tests {
         // Touch `a` so `b` is the LRU entry, then overflow with `c`.
         assert!(pool.get(&a, 400, 64).is_some());
         assert!(pool.get(&c, 400, 64).is_some());
-        let entries = pool.lock();
-        let names: Vec<&str> = entries.iter().map(|e| e.spec.name()).collect();
+        let state = pool.lock();
+        let names: Vec<&str> = state.entries.iter().map(|e| e.spec.name()).collect();
         assert_eq!(names, ["gzip", "power"], "LRU (art) evicted, MRU kept");
-        drop(entries);
+        drop(state);
         assert!(
             pool.get(&a, 2_000, 64).is_none(),
             "a request beyond the pool bound is declined, not thrashed"

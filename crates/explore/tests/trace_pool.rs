@@ -30,28 +30,26 @@ fn work_list() -> Vec<MeasureItem> {
 #[test]
 fn pooled_sweep_is_bit_identical_to_per_job_streams_fast_loop() {
     let work = work_list();
-    // One worker on the pooled side: a benchmark's first capture can be
-    // raced by concurrent workers (by design — capture happens outside
-    // the pool lock, and the losing recording is simply discarded), so
-    // the exact build/hit counts asserted below are only deterministic
-    // single-threaded. Bit-identity itself holds at any thread count.
-    let pooled = SweepEngine::new(ResultCache::in_memory()).with_threads(1);
     let unpooled = SweepEngine::new(ResultCache::in_memory()).without_trace_pool();
-
-    let a = pooled.measure(&work, 1_200);
     let b = unpooled.measure(&work, 1_200);
-    assert_eq!(a, b, "trace pooling changed a measured runtime");
-    assert!(a.iter().all(|ns| ns.is_finite() && *ns > 0.0));
-
-    // Pooling actually happened: one capture per distinct benchmark,
-    // every remaining simulation replayed shared storage.
-    assert_eq!(pooled.trace_pool_builds(), 3);
-    assert_eq!(
-        pooled.trace_pool_hits(),
-        pooled.simulated_count() - 3,
-        "every non-capturing run must hit the pool"
-    );
     assert_eq!(unpooled.trace_pool_builds(), 0);
+    // Captures are single-flight, so the exact build/hit counts hold
+    // with concurrent workers too.
+    for threads in [1, 2] {
+        let pooled = SweepEngine::new(ResultCache::in_memory()).with_threads(threads);
+        let a = pooled.measure(&work, 1_200);
+        assert_eq!(a, b, "trace pooling changed a measured runtime");
+        assert!(a.iter().all(|ns| ns.is_finite() && *ns > 0.0));
+
+        // Pooling actually happened: one capture per distinct benchmark,
+        // every remaining simulation replayed shared storage.
+        assert_eq!(pooled.trace_pool_builds(), 3, "{threads} workers");
+        assert_eq!(
+            pooled.trace_pool_hits(),
+            pooled.simulated_count() - 3,
+            "{threads} workers: every non-capturing run must hit the pool"
+        );
+    }
 }
 
 #[test]
@@ -59,11 +57,7 @@ fn pooled_sweep_is_bit_identical_to_per_job_streams_reference_loop() {
     // Smaller work list: the reference loop is an order of magnitude
     // slower and the property is per-run, not per-batch-size.
     let work: Vec<MeasureItem> = work_list().into_iter().step_by(3).collect();
-    // Single worker for the same reason as the fast-loop test: the
-    // `trace_pool_hits() > 0` assertion must not race first captures.
-    let pooled = SweepEngine::new(ResultCache::in_memory())
-        .with_reference_simulator()
-        .with_threads(1);
+    let pooled = SweepEngine::new(ResultCache::in_memory()).with_reference_simulator();
     let unpooled = SweepEngine::new(ResultCache::in_memory())
         .with_reference_simulator()
         .without_trace_pool();

@@ -144,10 +144,12 @@ impl SharedTrace {
     where
         S: InstructionStream + ?Sized,
     {
-        let insts: Vec<DynInst> = (0..n).map(|_| stream.next_inst()).collect();
+        // The range has an exact length, so this collects straight into
+        // one allocation of the shared slice, with no `Vec` to copy from.
+        let insts: Arc<[DynInst]> = (0..n).map(|_| stream.next_inst()).collect();
         SharedTrace {
             name: Arc::from(stream.name()),
-            insts: insts.into(),
+            insts,
         }
     }
 
