@@ -202,7 +202,7 @@ impl SetMeta {
 /// used for the fully synchronous and program-adaptive machines, §3).
 ///
 /// Storage is struct-of-arrays and lazily allocated per set: `set_index`
-/// maps a set to its dense record (or [`NO_SET`]), so a 32K-set L2 model
+/// maps a set to its dense record (or `NO_SET`), so a 32K-set L2 model
 /// only pays resident bytes for sets the run actually touches. Tags are
 /// split into a hot packed-u32 partial array and a cold high-bits array
 /// consulted only on partial match — exact, not probabilistic — and both

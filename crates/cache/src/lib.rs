@@ -1,4 +1,4 @@
-//! The Accounting Cache (Dropsho et al. [9]) and its interval controller
+//! The Accounting Cache (Dropsho et al. \[9\]) and its interval controller
 //! support, as used by the adaptive MCD processor (§3.1).
 //!
 //! An Accounting Cache is a set-associative cache that is logically split

@@ -278,11 +278,12 @@ impl CoreParams {
 
     /// Upper bound on simultaneously in-flight instructions: everything
     /// the simulator tracks lives in the ROB or the fetch queue, plus
-    /// the decode group in motion between them and the one buffered
-    /// pending fetch. Sizes the simulator's instruction-window slab, and
-    /// bounds how far a run can read past its committed window into an
-    /// instruction stream (which is what lets sweeps replay
-    /// finite shared traces instead of regenerating streams per job).
+    /// the one decode group a live stream's fetch block holds loaded
+    /// ahead of fetch, plus two spare. Sizes the simulator's
+    /// instruction-window slab, and bounds how far a run can read past
+    /// its committed window into an instruction stream (which is what
+    /// lets sweeps replay finite shared traces instead of regenerating
+    /// streams per job).
     pub fn max_in_flight(&self) -> usize {
         self.rob_entries + self.fetch_queue + self.decode_width + 2
     }

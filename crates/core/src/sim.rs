@@ -63,13 +63,16 @@
 //!   regression tests compare against, and the baseline the criterion
 //!   benches measure speedups from.
 //!
-//! Both loops are one stepping loop over one fetch. Fetch reads a small
-//! private instruction source: a live [`InstructionStream`]
-//! ([`Simulator::run`]) or a [`PreparedTrace`] indexed by the count of
-//! instructions pulled so far ([`Simulator::run_chunk`]). The loop's
-//! only pause is a commit count, and pausing mutates nothing, so a run
-//! paused and resumed under any schedule ends bit-identical to one
-//! continuous run.
+//! Both loops are one stepping loop over one fetch, and fetch reads one
+//! place: a fixed block of instructions the simulator allocates once
+//! and walks with a cursor (a stalled fetch leaves the cursor where it
+//! is). Just before a front-end edge runs its handler, the loop tops
+//! the block up to at least a decode group from its input: a live
+//! [`InstructionStream`] ([`Simulator::run`]) or a [`PreparedTrace`]
+//! read at the absolute stream position of the next instruction to
+//! load ([`Simulator::run_chunk`]). The loop's only pause is a commit
+//! count, and pausing mutates nothing, so a run paused and resumed
+//! under any schedule ends bit-identical to one continuous run.
 
 use std::collections::VecDeque;
 
@@ -221,37 +224,16 @@ impl FuPool {
     }
 }
 
-/// Where fetch reads the committed path from. The simulator counts the
-/// instructions it has pulled, so a prepared trace is indexed by that
-/// count while a live stream just yields its next instruction.
-trait Source {
-    /// Instruction `pos` of the path and its I-cache line index under
-    /// `line_bytes`-byte lines.
-    fn pull(&mut self, pos: u64, line_bytes: u64) -> (DynInst, u64);
-}
+/// Entries in the fetch block: a prepared trace refills it this many
+/// instructions at a time. Must hold at least one decode group.
+const FETCH_BLOCK: usize = 256;
 
-/// A live [`InstructionStream`] as a [`Source`].
-struct Live<'a, S>(&'a mut S);
-
-impl<S: InstructionStream> Source for Live<'_, S> {
-    #[inline]
-    fn pull(&mut self, _pos: u64, line_bytes: u64) -> (DynInst, u64) {
-        let inst = self.0.next_inst();
-        (inst, inst.pc / line_bytes)
-    }
-}
-
-impl Source for &PreparedTrace {
-    #[inline]
-    fn pull(&mut self, pos: u64, _line_bytes: u64) -> (DynInst, u64) {
-        let i = pos as usize;
-        assert!(
-            i < self.len(),
-            "prepared trace underrun: position {i} of {}",
-            self.len()
-        );
-        (self.inst(i), self.fetch_line(i))
-    }
+/// Where [`Simulator::top_up`] loads the committed path from.
+enum Input<'a> {
+    /// A live stream, read in order.
+    Live(&'a mut dyn InstructionStream),
+    /// A recording, read at the absolute stream position.
+    Trace(&'a PreparedTrace),
 }
 
 /// The simulator: construct with a [`MachineConfig`], run one stream.
@@ -317,14 +299,16 @@ pub struct Simulator {
     fetch_stalled_until: Femtos,
     fetch_blocked_on: Option<u32>,
     cur_fetch_line: u64,
-    /// An instruction pulled from the source but not yet fetched (held
-    /// across an I-cache stall), with its fetch line.
-    pending_inst: Option<(DynInst, u64)>,
+    /// The fetch block: `block[block_pos..block_len]` are the loaded,
+    /// not yet fetched instructions, each with its I-cache line index.
+    block: Box<[(DynInst, u64)]>,
+    block_pos: usize,
+    block_len: usize,
 
     // Stepping state that persists across pauses.
-    /// Instructions pulled from the source so far: the next index into
-    /// a prepared trace.
-    pulled: u64,
+    /// Absolute stream position of the next instruction to load into
+    /// the block.
+    loaded: u64,
     /// Simulated time of the most recent commit-count increase.
     last_progress_time: Femtos,
     /// Commit count at `last_progress_time`.
@@ -357,9 +341,15 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if internal structure construction fails (the configuration
-    /// enums make invalid geometries unrepresentable).
+    /// enums make invalid geometries unrepresentable), or if the decode
+    /// width exceeds the 256-instruction fetch block.
     pub fn new(cfg: MachineConfig) -> Self {
         let p = &cfg.params;
+        assert!(
+            p.decode_width <= FETCH_BLOCK,
+            "decode width {} exceeds the fetch block",
+            p.decode_width
+        );
         let phase = cfg.is_phase_adaptive();
         let is_mcd = cfg.is_mcd();
         let freqs = cfg.initial_frequencies();
@@ -536,8 +526,10 @@ impl Simulator {
             fetch_stalled_until: Femtos::ZERO,
             fetch_blocked_on: None,
             cur_fetch_line: u64::MAX,
-            pending_inst: None,
-            pulled: 0,
+            block: vec![(DynInst::nop(0), 0); FETCH_BLOCK].into_boxed_slice(),
+            block_pos: 0,
+            block_len: 0,
+            loaded: 0,
             last_progress_time: Femtos::ZERO,
             last_progress_count: 0,
             fu_int: [
@@ -800,11 +792,11 @@ impl Simulator {
     // Front-end edge
     // ------------------------------------------------------------------
 
-    fn fe_edge<S: Source>(&mut self, e: Femtos, src: &mut S, window: u64) {
+    fn fe_edge(&mut self, e: Femtos, window: u64) {
         self.apply_pending_fe(e);
         self.commit(e, window);
         self.rename_dispatch(e);
-        self.fetch(e, src);
+        self.fetch(e);
         if self.event_driven {
             self.recompute_fe_wake(e);
         }
@@ -1282,12 +1274,16 @@ impl Simulator {
         }
     }
 
-    /// Fetches up to a decode group from `src`. An instruction pulled
-    /// before an I-cache stall is held in `pending_inst`; the retry finds
+    /// Fetches up to a decode group from the fetch block, which
+    /// [`Simulator::top_up`] filled from either input. An I-cache stall
+    /// leaves the cursor on the stalled instruction; the retry finds
     /// `line == cur_fetch_line` (set before the stall return) and skips
     /// the already-performed access, so every model structure sees each
-    /// access once whatever the source.
-    fn fetch<S: Source>(&mut self, e: Femtos, src: &mut S) {
+    /// access once.
+    ///
+    /// The block runs dry only when a prepared trace ends before the
+    /// run's fetch demand does, which panics.
+    fn fetch(&mut self, e: Femtos) {
         if self.fetch_blocked_on.is_some() || e < self.fetch_stalled_until {
             return;
         }
@@ -1296,14 +1292,12 @@ impl Simulator {
             if self.fetch_q.len() >= self.cfg.params.fetch_queue {
                 break;
             }
-            let (inst, line) = match self.pending_inst.take() {
-                Some(held) => held,
-                None => {
-                    let pulled = src.pull(self.pulled, self.cfg.params.line_bytes);
-                    self.pulled += 1;
-                    pulled
-                }
-            };
+            assert!(
+                self.block_pos < self.block_len,
+                "prepared trace underrun: fetch needs instruction {}, past the recording's end",
+                self.loaded
+            );
+            let (inst, line) = self.block[self.block_pos];
 
             // I-cache: access on line crossings.
             if line != self.cur_fetch_line {
@@ -1313,7 +1307,6 @@ impl Simulator {
                     ServedBy::APartition => {}
                     ServedBy::BPartition => {
                         self.fetch_stalled_until = e + self.periods.ic_b_stall[self.ic_idx];
-                        self.pending_inst = Some((inst, line));
                         return;
                     }
                     ServedBy::Miss => {
@@ -1326,11 +1319,11 @@ impl Simulator {
                             en.note_l2_service((vis - e).as_ns());
                         }
                         self.fetch_stalled_until = vis;
-                        self.pending_inst = Some((inst, line));
                         return;
                     }
                 }
             }
+            self.block_pos += 1;
 
             // Allocate the window slot in the slab. The capacity bound
             // guarantees the masked slot is vacant while `seq` is alive.
@@ -1840,12 +1833,52 @@ impl Simulator {
         true
     }
 
+    /// Tops the fetch block up to at least a decode group, as far as the
+    /// input reaches. The unfetched leftovers move to the front; then a
+    /// live stream supplies the rest of one group, so it is never read
+    /// further ahead than [`CoreParams::max_in_flight`] promises, and a
+    /// prepared trace fills the rest of the block from position
+    /// `loaded`, clamped at its end. Reading by absolute position is what
+    /// lets a snapshot paused over one recording resume over a longer
+    /// recording of the same stream.
+    ///
+    /// [`CoreParams::max_in_flight`]: crate::config::CoreParams::max_in_flight
+    fn top_up(&mut self, input: &mut Input<'_>) {
+        let width = self.cfg.params.decode_width;
+        let left = self.block_len - self.block_pos;
+        if left >= width {
+            return;
+        }
+        self.block.copy_within(self.block_pos..self.block_len, 0);
+        let filled = match input {
+            Input::Live(stream) => {
+                let line_bytes = self.cfg.params.line_bytes;
+                for entry in &mut self.block[left..width] {
+                    let inst = stream.next_inst();
+                    *entry = (inst, inst.pc / line_bytes);
+                }
+                width - left
+            }
+            Input::Trace(prep) => {
+                let from = self.loaded as usize;
+                let n = (FETCH_BLOCK - left).min(prep.len().saturating_sub(from));
+                for (k, entry) in self.block[left..left + n].iter_mut().enumerate() {
+                    *entry = (prep.inst(from + k), prep.fetch_line(from + k));
+                }
+                n
+            }
+        };
+        self.block_pos = 0;
+        self.block_len = left + filled;
+        self.loaded += filled as u64;
+    }
+
     /// The stepping loop both run loops share: advances edge by edge
     /// until `window` instructions have committed (returns `true`) or,
     /// before that, the commit count has reached `pause_at` (returns
     /// `false`). The pause is checked between edges and mutates
     /// nothing, so resuming re-evaluates the identical edge.
-    fn step<S: Source>(&mut self, src: &mut S, window: u64, pause_at: u64) -> bool {
+    fn step(&mut self, mut input: Input<'_>, window: u64, pause_at: u64) -> bool {
         assert!(window > 0, "window must be positive");
         while self.committed < window {
             if self.committed >= pause_at {
@@ -1859,7 +1892,10 @@ impl Simulator {
             self.track_period(d);
             if !self.event_driven || e >= self.next_work[d] {
                 match d {
-                    0 => self.fe_edge(e, src, window),
+                    0 => {
+                        self.top_up(&mut input);
+                        self.fe_edge(e, window);
+                    }
                     1 | 2 => self.exec_edge(d, e),
                     3 => self.ls_edge(e),
                     _ => unreachable!(),
@@ -1878,7 +1914,7 @@ impl Simulator {
     /// Panics if `window` is zero or if the pipeline deadlocks (a model
     /// bug), detected as a long span of simulated time with no commits.
     pub fn run<S: InstructionStream>(mut self, stream: &mut S, window: u64) -> SimResult {
-        self.step(&mut Live(&mut *stream), window, u64::MAX);
+        self.step(Input::Live(stream), window, u64::MAX);
         // lint:allow(hot-path-alloc): one name copy per completed run, after the stepping loop exits
         let name = stream.name().to_string();
         self.finish(&name)
@@ -1913,7 +1949,7 @@ impl Simulator {
             self.cfg.params.line_bytes,
             "prepared trace line size must match the machine configuration"
         );
-        self.step(&mut &*prep, window, upto)
+        self.step(Input::Trace(prep), window, upto)
     }
 
     /// Instructions committed so far.
@@ -2109,6 +2145,59 @@ mod tests {
             assert!(changes >= 3, "expected relocks to complete, saw {changes}");
             assert_eq!(sim.finish("apsi").reconfigs.len(), 5);
         }
+    }
+
+    /// A prepared recording of `spec`'s first `n` instructions.
+    fn prepare(spec: &gals_workloads::BenchmarkSpec, n: u64, line_bytes: u64) -> PreparedTrace {
+        let trace = gals_workloads::SharedTrace::capture(&mut spec.stream(), n);
+        PreparedTrace::new(&trace, line_bytes)
+    }
+
+    #[test]
+    fn clamped_pause_resumes_over_a_longer_recording() {
+        // A recording just long enough to reach the pause (every
+        // instruction fetched by then, and no more) clamps the block
+        // fill at its end. A clone resumed over a longer recording of
+        // the same stream refills from its absolute position (the
+        // interval memo's splice) and ends bit-identical to one
+        // continuous run, on both loops.
+        let machine = MachineConfig::phase_adaptive(McdConfig::smallest());
+        let (pause, window) = (20_000, 50_000);
+        let spec = gals_workloads::suite::by_name("gcc").unwrap();
+        let slack = machine.params.max_in_flight() as u64;
+        let line_bytes = machine.params.line_bytes;
+        let long = prepare(&spec, window + slack, line_bytes);
+        for reference in [false, true] {
+            let fresh = || {
+                let sim = Simulator::new(machine.clone());
+                if reference {
+                    sim.use_reference_loop()
+                } else {
+                    sim
+                }
+            };
+            let mut probe = fresh();
+            assert!(!probe.run_chunk(&long, window, pause));
+            let fetched = probe.loaded - (probe.block_len - probe.block_pos) as u64;
+            let short = prepare(&spec, fetched, line_bytes);
+            let mut paused = fresh();
+            assert!(!paused.run_chunk(&short, window, pause));
+            assert_eq!(paused.loaded, short.len() as u64, "fill clamped at the end");
+            let mut resumed = paused.clone();
+            assert!(resumed.run_chunk(&long, window, u64::MAX));
+            let mut continuous = fresh();
+            assert!(continuous.run_chunk(&long, window, u64::MAX));
+            assert_eq!(resumed.finish("gcc"), continuous.finish("gcc"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared trace underrun")]
+    fn prepared_trace_shorter_than_the_window_underruns() {
+        let machine = MachineConfig::best_synchronous();
+        let spec = gals_workloads::suite::by_name("gzip").unwrap();
+        let prep = prepare(&spec, 1_000, machine.params.line_bytes);
+        Simulator::new(machine).run_chunk(&prep, 10_000, u64::MAX);
     }
 
     #[test]

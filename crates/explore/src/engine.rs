@@ -547,8 +547,8 @@ struct Admitted<'env> {
 
 /// The work-stealing measurement engine over a sharded result cache.
 ///
-/// All state is interior-mutable behind `&self`; see the
-/// [module docs](self) for the sharing story.
+/// All state is interior-mutable behind `&self`; see the `engine.rs`
+/// module docs for the sharing story.
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
@@ -690,20 +690,6 @@ impl SweepEngine {
         self.traces.builds.load(Ordering::Relaxed)
     }
 
-    /// Names of the benchmarks currently resident in the trace pool,
-    /// least-recently-used first. Residency introspection for the
-    /// serve fleet's shard-disjointness assertions and observability;
-    /// the entry list is tiny (see [`TracePool`]), so snapshotting it
-    /// under the lock is cheap.
-    pub fn trace_pool_benchmarks(&self) -> Vec<String> {
-        self.traces
-            .lock()
-            .entries
-            .iter()
-            .map(|e| e.spec.name().to_string())
-            .collect()
-    }
-
     /// Keys answered without simulating their own prefix: every window
     /// a shared run answers beyond its first, plus every run that
     /// spliced a memoized snapshot.
@@ -773,7 +759,7 @@ impl SweepEngine {
     /// a private [`JobScheduler`] in priority/aging order, duplicates
     /// are simulated once (in-flight dedupe plus the shared cache), the
     /// windows of one configuration share one run (see "Window sharing"
-    /// in the [module docs](self)), and `on_outcome(i, &outcome)`
+    /// in the `engine.rs` module docs), and `on_outcome(i, &outcome)`
     /// streams each job's resolution as it happens.
     pub fn run_jobs(
         &self,

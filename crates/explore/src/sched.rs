@@ -34,7 +34,7 @@
 //! The scheduler holds completion callbacks, not result slots: every
 //! submitted job's completion fires exactly once (measured, cache hit,
 //! follower, or expired), from whichever worker resolved it. That is
-//! what lets the server stream [`Partial`-frame] responses per job
+//! what lets the server stream `Partial` frame responses per job
 //! while the rest of a request is still queued.
 
 use std::collections::BinaryHeap;

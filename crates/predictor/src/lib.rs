@@ -1,4 +1,4 @@
-//! Hybrid branch predictor (McFarling [20]) with the geometries of
+//! Hybrid branch predictor (McFarling \[20\]) with the geometries of
 //! Tables 2 and 3.
 //!
 //! The predictor combines:

@@ -57,11 +57,9 @@
 
 mod client;
 pub mod protocol;
-pub mod router;
 mod server;
 
 pub use client::Client;
 pub use gals_explore::Priority;
 pub use protocol::{Request, RequestKind, Response};
-pub use router::{RoutedClient, ShardRouter, ShardedFleet};
 pub use server::{ServeConfig, Server};

@@ -388,12 +388,6 @@ impl Server {
         self.inner.cancelled.load(Ordering::Relaxed)
     }
 
-    /// Benchmarks currently resident in this server's trace pool
-    /// (shard-residency introspection for the router tests and bench).
-    pub fn trace_pool_benchmarks(&self) -> Vec<String> {
-        self.inner.engine.trace_pool_benchmarks()
-    }
-
     /// Graceful shutdown: stops accepting connections and admitting
     /// requests, then **drains-or-expires** the queue — every admitted
     /// job still completes (or expires at its deadline) and every

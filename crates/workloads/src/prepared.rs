@@ -7,8 +7,10 @@
 //! that derivation once, into one flat column that every simulator
 //! replaying the recording indexes directly. It is also the input a
 //! simulator can pause over and resume on
-//! (`gals_core::Simulator::run_chunk`), since a position in it is just
-//! an index.
+//! (`gals_core::Simulator::run_chunk`): the simulator copies it into its
+//! own fetch block a block at a time, reading at the absolute stream
+//! position of its next instruction, so a run paused over one recording
+//! resumes over any longer recording of the same stream.
 //!
 //! The column depends on one machine parameter: the I-cache line size.
 //! Line size is a `CoreParams` field in principle (64 bytes in every
@@ -25,8 +27,9 @@ use gals_isa::DynInst;
 
 use crate::trace::SharedTrace;
 
-/// A [`SharedTrace`] plus its precomputed fetch-line column (see the
-/// [module docs](self)).
+/// A [`SharedTrace`] plus its precomputed fetch-line column: built once
+/// per recording so no simulator replaying it divides `pc / line_bytes`
+/// per instruction.
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
     trace: SharedTrace,

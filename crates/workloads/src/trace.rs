@@ -184,7 +184,8 @@ impl SharedTrace {
 
     /// A strict replay cursor from the beginning: bit-identical to the
     /// source stream for [`SharedTrace::len`] instructions, panicking on
-    /// a read past the end (see the [module docs](self)).
+    /// a read past the end, because a looped instruction would diverge
+    /// from the live stream the trace stands in for.
     pub fn replay(&self) -> SharedReplay {
         SharedReplay {
             trace: self.clone(),
